@@ -3,7 +3,7 @@
 Measures three numbers on the current tree:
 
 * **classify tables/sec** — single-threaded classify throughput of the
-  default (vectorized, hashed-backend) pipeline over 120 mixed tables,
+  default (hashed-backend) pipeline over 120 mixed tables,
   best of three passes;
 * **fused tables/sec** — the same 120 tables through
   :meth:`~repro.core.pipeline.MetadataPipeline.classify_corpus` (the

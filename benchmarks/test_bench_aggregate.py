@@ -1,29 +1,30 @@
-"""Bench: the vectorized aggregation plane vs the scalar seed path.
+"""Bench: one-table fused classification vs the level-by-level reference.
 
-The scalar path (``vectorized=False``) tokenizes every cell twice and
-embeds every token occurrence with a per-token Python call; the
-vectorized plane tokenizes once, resolves unique tokens in one batched
-lookup, and scatters the aggregates with two count x vector matmuls.
-Same centroids, same projection, byte-identical annotations — the only
-difference is how the level vectors are produced.
+The reference (:func:`repro.core.classifier.reference_classify`)
+tokenizes every cell twice, embeds every token occurrence with a
+per-token Python call, and measures every angle with a scalar call; a
+``classify`` call packs its table into a one-table fused shard, reads
+each cell's token ids from the process-wide memo, gathers token vectors
+from the id-indexed row cache, and scatters the aggregates with segment
+sums.  Same centroids, same projection, byte-identical annotations —
+the only difference is how the level vectors and angles are produced.
 
 Two claims are asserted:
 
-* classify throughput on 100+ mixed tables improves by >= 3x;
-* one embedder shared by 8 serving threads with a deliberately tiny
-  (always-evicting) cache returns exactly the single-thread annotations
-  — no corruption, no unbounded growth.
+* classify throughput on 100+ mixed tables is >= 3x the reference's;
+* one classifier shared by 8 serving threads, on a fresh embedder whose
+  token cache is deliberately tiny, returns exactly the single-thread
+  annotations — no corruption of the shared row cache, no growth of
+  the embedder's cache.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
-
 import pytest
 
-from repro.core.classifier import MetadataClassifier
+from repro.core.classifier import MetadataClassifier, reference_classify
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.corpus.registry import build_corpus, build_split
 from repro.corpus.vocabularies import get_domain
@@ -58,56 +59,48 @@ def mixed_tables():
     return tables
 
 
-def _variant(pipeline, *, vectorized: bool) -> MetadataClassifier:
-    clf = pipeline.classifier
-    return MetadataClassifier(
-        clf.embedder,
-        clf.row_centroids,
-        clf.col_centroids,
-        projection=clf.projection,
-        config=replace(clf.config, vectorized=vectorized),
-    )
-
-
-def _best_of(classifier, tables, reps: int = 3) -> float:
+def _best_of(classify, tables, reps: int = 3) -> float:
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
         for table in tables:
-            classifier.classify(table)
+            classify(table)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def test_bench_vectorized_speedup(bench_pipeline, mixed_tables):
-    fast = _variant(bench_pipeline, vectorized=True)
-    scalar = _variant(bench_pipeline, vectorized=False)
+def test_bench_fused_vs_reference_speedup(bench_pipeline, mixed_tables):
+    clf = bench_pipeline.classifier
+
+    def reference(table):
+        return reference_classify(clf, table)
 
     # Warm-up doubles as the equivalence gate: the speedup claim is
     # meaningless unless the annotations are identical.
     for table in mixed_tables:
-        assert fast.classify(table) == scalar.classify(table)
+        assert clf.classify(table) == reference(table)
 
-    t_scalar = _best_of(scalar, mixed_tables)
-    t_fast = _best_of(fast, mixed_tables)
-    speedup = t_scalar / t_fast
+    t_reference = _best_of(reference, mixed_tables)
+    t_fused = _best_of(clf.classify, mixed_tables)
+    speedup = t_reference / t_fused
 
     n = len(mixed_tables)
     print(
-        f"\n{n} tables: scalar {t_scalar:.3f}s ({n / t_scalar:.0f}/s) vs "
-        f"vectorized {t_fast:.3f}s ({n / t_fast:.0f}/s) — "
-        f"{speedup:.2f}x speedup"
+        f"\n{n} tables: reference {t_reference:.3f}s "
+        f"({n / t_reference:.0f}/s) vs one-table fused {t_fused:.3f}s "
+        f"({n / t_fused:.0f}/s) — {speedup:.2f}x speedup"
     )
     assert speedup >= TARGET_SPEEDUP, (
-        f"vectorized plane {speedup:.2f}x, needs >= {TARGET_SPEEDUP}x"
+        f"one-table fused {speedup:.2f}x, needs >= {TARGET_SPEEDUP}x"
     )
 
 
 def test_bench_concurrent_serve_no_cache_corruption(
     bench_pipeline, mixed_tables
 ):
-    """8 threads, one shared classifier, an embedder cache far smaller
-    than the working set (every lookup races with evictions)."""
+    """8 threads, one shared classifier on a fresh embedder: every
+    thread races to fill the same cold row cache, and the embedder's
+    own cache (far smaller than the working set) must stay unused."""
     clf = bench_pipeline.classifier
     from repro.embeddings.lookup import TermEmbedder
 
@@ -177,10 +170,10 @@ def test_bench_noop_tracing_overhead(bench_pipeline, mixed_tables):
 
     assert not obs.get_tracer().enabled
 
-    fast = _variant(bench_pipeline, vectorized=True)
+    fast = bench_pipeline.classifier
     for table in mixed_tables:  # warm caches
         fast.classify(table)
-    per_table = _best_of(fast, mixed_tables) / len(mixed_tables)
+    per_table = _best_of(fast.classify, mixed_tables) / len(mixed_tables)
 
     # Count the spans one classify emits (tracing briefly enabled).
     with obs.tracing() as tracer:

@@ -37,7 +37,7 @@ from repro.core.bootstrap import (
     bootstrap_from_html,
 )
 from repro.core.centroids import CentroidSet, LevelAngleStats, estimate_centroids
-from repro.core.embedding_plane import TableEmbedding, embed_table, level_vectors
+from repro.core.embedding_plane import level_vectors
 from repro.core.classifier import (
     ClassificationResult,
     LevelEvidence,
@@ -74,7 +74,6 @@ __all__ = [
     "MetadataClassifier",
     "MetadataPipeline",
     "PipelineConfig",
-    "TableEmbedding",
     "aggregate_cols",
     "aggregate_level",
     "aggregate_rows",
@@ -90,7 +89,6 @@ __all__ = [
     "detect_orientation",
     "confusion_counts",
     "cosine_similarity",
-    "embed_table",
     "estimate_centroids",
     "euclidean_distance",
     "evaluate_corpus",

@@ -37,8 +37,8 @@ class AggregationConfig:
 
     ``lowercase`` — the tokenizer setting used when cells are split into
     terms (see :func:`repro.text.tokenize`).  Part of the aggregation
-    config so every path — scalar, vectorized, fused — tokenizes the
-    same way, and so caches can key on it.
+    config so the fused plane and the level-by-level reference
+    tokenize the same way, and so caches can key on it.
     """
 
     mode: str = "sum"

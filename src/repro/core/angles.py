@@ -157,26 +157,21 @@ def segmented_walk_angles(
     meta_ref: np.ndarray,
     data_ref: np.ndarray,
     offsets: np.ndarray | Sequence[int],
-    *,
-    tolist: bool = False,
-) -> list[tuple[Sequence[float], Sequence[float], Sequence[float]]]:
+) -> list[tuple[list[float], list[float], list[float]]]:
     """:func:`walk_angles` over a concatenation of per-table level blocks.
 
     ``levels`` stacks the level vectors of many tables; ``offsets`` is
     the ``(n_segments + 1,)`` prefix array, segment ``s`` owning rows
     ``offsets[s]:offsets[s + 1]``.  Returns one
-    ``(meta_angles, data_angles, deltas)`` tuple per segment — the same
-    values per-table :func:`walk_angles` calls would produce, but the
-    norms, the reference matmul, and the adjacent-pair products are each
-    computed once for the whole corpus.  Deltas that would pair the last
-    level of one segment with the first level of the next are computed
-    and discarded (cheaper than masking); they never leak into a
-    segment's view.
-
-    ``tolist=True`` returns plain ``list[float]`` slices instead of
-    array views: consumers that feed a scalar state machine (the
-    classifier's decision walk) pay one bulk conversion for the whole
-    corpus instead of one tiny ``.tolist()`` per segment.
+    ``(meta_angles, data_angles, deltas)`` tuple of float lists per
+    segment — the same values per-table :func:`walk_angles` calls would
+    produce, but the norms, the reference matmul, and the adjacent-pair
+    products are each computed once for the whole corpus, and the
+    conversion to Python floats for the classifier's decision walk is
+    one bulk ``tolist`` instead of one per segment.  Deltas that would
+    pair the last level of one segment with the first level of the next
+    are computed and discarded (cheaper than masking); they never leak
+    into a segment's view.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if levels.ndim != 2:
@@ -189,15 +184,14 @@ def segmented_walk_angles(
     if np.any(np.diff(bounds) < 0):
         raise ValueError("offsets must be non-decreasing")
     meta_angles, data_angles, deltas = walk_angles(levels, meta_ref, data_ref)
-    meta_seq: Sequence[float] = meta_angles.tolist() if tolist else meta_angles
-    data_seq: Sequence[float] = data_angles.tolist() if tolist else data_angles
-    delta_seq: Sequence[float] = deltas.tolist() if tolist else deltas
-    no_deltas: Sequence[float] = [] if tolist else np.empty(0)
-    out: list[tuple[Sequence[float], Sequence[float], Sequence[float]]] = []
+    meta_list: list[float] = meta_angles.tolist()
+    data_list: list[float] = data_angles.tolist()
+    delta_list: list[float] = deltas.tolist()
+    out: list[tuple[list[float], list[float], list[float]]] = []
     for s in range(bounds.size - 1):
         lo, hi = int(bounds[s]), int(bounds[s + 1])
-        seg_deltas = delta_seq[lo : hi - 1] if hi - lo >= 2 else no_deltas
-        out.append((meta_seq[lo:hi], data_seq[lo:hi], seg_deltas))
+        seg_deltas = delta_list[lo : hi - 1] if hi - lo >= 2 else []
+        out.append((meta_list[lo:hi], data_list[lo:hi], seg_deltas))
     return out
 
 

@@ -22,16 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from repro.core.aggregate import (
-    AggregationConfig,
-    aggregate_cols,
-    aggregate_rows,
-)
-from repro.core.angles import AngleRange, angle_between, walk_angles
-from repro.core.embedding_plane import embed_table
+from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
+from repro.core.angles import AngleRange, angle_between, segmented_walk_angles
 from repro import obs
+from repro.core import fused
 from repro.core.centroids import CentroidSet
 from repro.core.contrastive import ContrastiveProjection
 from repro.embeddings.lookup import TermEmbedder
@@ -47,10 +41,6 @@ class ClassifierConfig:
     max_hmd_depth: int = 5  # deepest HMD the paper observes
     max_vmd_depth: int = 3  # deepest VMD the paper observes
     detect_cmd: bool = True  # central metadata rows (rows only)
-    vectorized: bool = True  # one-pass table embedding (False: scalar path)
-    fused: bool = True  # corpus-level fusion on classify_corpus batches
-    fused_dtype: str = "float32"  # matmul dtype on the fused path
-    fused_quantize: bool = False  # int8 token matrices (per-row scales)
     range_margin: float = 2.0  # degrees of slack on centroid ranges
     ref_slack: float = 10.0  # reference-angle tolerance in overlap ties
     ref_override: float = 10.0  # min ref-angle gap to overrule a range hit
@@ -61,11 +51,6 @@ class ClassifierConfig:
             raise ValueError("depth limits must be positive")
         if self.range_margin < 0:
             raise ValueError("range_margin cannot be negative")
-        if self.fused_dtype not in ("float32", "float64"):
-            raise ValueError(
-                f"fused_dtype must be float32 or float64, got "
-                f"{self.fused_dtype!r}"
-            )
 
 
 # Labels are frozen value objects and the walk emits thousands per
@@ -142,148 +127,106 @@ class MetadataClassifier:
         the serving hot path only needs the annotation.  Use
         :meth:`classify_result` when the Fig. 5 evidence matters.
         """
-        return self._classify(table, with_evidence=False).annotation
+        return self.classify_corpus([table])[0]
 
     def classify_result(self, table: Table) -> ClassificationResult:
         """Classify with full per-level evidence (Fig. 5 annotations)."""
-        return self._classify(table, with_evidence=True)
-
-    def classify_corpus(self, tables: Sequence[Table]) -> list[TableAnnotation]:
-        """Classify a whole batch as one fused shard (labels only).
-
-        Routes through :mod:`repro.core.fused` when ``config.fused`` and
-        the aggregation mode support it: one corpus-wide intern pass, one
-        batched token lookup, segment-scatter aggregation, and a batched
-        angle walk.  Labels are identical to a per-table :meth:`classify`
-        loop (the decision walk is shared); modes the fused plane cannot
-        express — and ``fused=False`` — fall back to that loop.
-        """
-        tables = list(tables)
-        if not tables:
-            return []
-        if self.config.fused and self.config.vectorized:
-            from repro.core import fused
-
-            return fused.classify_corpus(self, tables)
-        return [self.classify(t) for t in tables]
-
-    def _classify(
-        self, table: Table, *, with_evidence: bool
-    ) -> ClassificationResult:
-        """Algorithm 1 over every row and column of ``table``.
-
-        Level vectors come from the vectorized embedding plane (one
-        tokenize pass, one batched lookup, two scatter matmuls); set
-        ``config.vectorized=False`` to force the scalar per-level
-        reference path (the equivalence tests and benchmarks do).
-        """
-        with obs.span(
-            "classify",
-            table=table.name,
-            rows=table.n_rows,
-            cols=table.n_cols,
-        ):
-            if self.config.vectorized:
-                embedded = embed_table(
-                    self.embedder, table, self.config.aggregation
-                )
-                row_vectors = embedded.row_vectors
-                col_vectors = embedded.col_vectors
-            else:
-                with obs.span("aggregate"):
-                    row_vectors = aggregate_rows(
-                        self.embedder, table, self.config.aggregation
-                    )
-                    col_vectors = aggregate_cols(
-                        self.embedder, table, self.config.aggregation
-                    )
-            if self.projection is not None:
-                with obs.span("project"):
-                    row_vectors = self.projection.transform(row_vectors)
-                    col_vectors = self.projection.transform(col_vectors)
-
-            with obs.span("angle_walk", axis="rows"):
-                row_labels, row_evidence = self._classify_axis(
-                    row_vectors,
-                    self.row_centroids,
-                    max_depth=self.config.max_hmd_depth,
-                    metadata_kind=LevelKind.HMD,
-                    detect_cmd=self.config.detect_cmd,
-                    with_evidence=with_evidence,
-                )
-            with obs.span("angle_walk", axis="cols"):
-                col_labels, col_evidence = self._classify_axis(
-                    col_vectors,
-                    self.col_centroids,
-                    max_depth=self.config.max_vmd_depth,
-                    metadata_kind=LevelKind.VMD,
-                    detect_cmd=False,  # CMD is defined for rows only (Def. 4)
-                    with_evidence=with_evidence,
-                )
-        annotation = TableAnnotation(tuple(row_labels), tuple(col_labels))
+        [(annotation, row_evidence, col_evidence)] = self._classify(
+            [table], with_evidence=True
+        )
         return ClassificationResult(
             table=table,
             annotation=annotation,
-            row_evidence=tuple(row_evidence),
-            col_evidence=tuple(col_evidence),
+            row_evidence=row_evidence,
+            col_evidence=col_evidence,
         )
+
+    def classify_corpus(self, tables: Sequence[Table]) -> list[TableAnnotation]:
+        """Classify a whole batch as one fused shard (labels only)."""
+        tables = list(tables)
+        if not tables:
+            return []
+        return [
+            annotation
+            for annotation, _, _ in self._classify(tables, with_evidence=False)
+        ]
+
+    def _classify(
+        self, tables: list[Table], *, with_evidence: bool
+    ) -> list[
+        tuple[TableAnnotation, tuple[LevelEvidence, ...], tuple[LevelEvidence, ...]]
+    ]:
+        """Algorithm 1 over every row and column of a shard of tables.
+
+        :func:`repro.core.fused.level_blocks` builds every level vector
+        of the shard; one batched angle pass then feeds the decision
+        walk of each table's axes.
+        """
+        config = self.config
+        row_centroids, col_centroids = self.row_centroids, self.col_centroids
+        with obs.span("classify", n_tables=len(tables), fused=True):
+            row_matrix, col_matrix, row_offsets, col_offsets = (
+                fused.level_blocks(self, tables)
+            )
+            with obs.span("fused.walk"):
+                row_segments = segmented_walk_angles(
+                    row_matrix,
+                    row_centroids.meta_ref,
+                    row_centroids.data_ref,
+                    row_offsets,
+                )
+                col_segments = segmented_walk_angles(
+                    col_matrix,
+                    col_centroids.meta_ref,
+                    col_centroids.data_ref,
+                    col_offsets,
+                )
+                row_ranges = self.axis_ranges(row_centroids)
+                col_ranges = self.axis_ranges(col_centroids)
+                out = []
+                for (r_meta, r_data, r_delta), (c_meta, c_data, c_delta) in zip(
+                    row_segments, col_segments
+                ):
+                    row_labels, row_evidence = self._walk_axis(
+                        r_meta,
+                        r_data,
+                        r_delta,
+                        row_centroids,
+                        max_depth=config.max_hmd_depth,
+                        metadata_kind=LevelKind.HMD,
+                        detect_cmd=config.detect_cmd,
+                        with_evidence=with_evidence,
+                        ranges=row_ranges,
+                    )
+                    col_labels, col_evidence = self._walk_axis(
+                        c_meta,
+                        c_data,
+                        c_delta,
+                        col_centroids,
+                        max_depth=config.max_vmd_depth,
+                        metadata_kind=LevelKind.VMD,
+                        detect_cmd=False,  # CMD is defined for rows only (Def. 4)
+                        with_evidence=with_evidence,
+                        ranges=col_ranges,
+                    )
+                    annotation = TableAnnotation.from_trusted(
+                        tuple(row_labels), tuple(col_labels)
+                    )
+                    out.append(
+                        (annotation, tuple(row_evidence), tuple(col_evidence))
+                    )
+        return out
 
     # ------------------------------------------------------------------
     # the axis walk
     # ------------------------------------------------------------------
-    def _classify_axis(
-        self,
-        vectors: np.ndarray,
-        centroids: CentroidSet,
-        *,
-        max_depth: int,
-        metadata_kind: LevelKind,
-        detect_cmd: bool,
-        with_evidence: bool = True,
-    ) -> tuple[list[LevelLabel], list[LevelEvidence]]:
-        # All reference angles and adjacent-level deltas come out of one
-        # fused batch pass; the walk below only reads them.  The scalar
-        # per-level calls are kept behind ``vectorized=False`` as the
-        # benchmark/equivalence reference.
-        if self.config.vectorized:
-            meta_angles, data_angles, deltas = walk_angles(
-                vectors, centroids.meta_ref, centroids.data_ref
-            )
-        else:
-            meta_angles = np.array(
-                [angle_between(v, centroids.meta_ref) for v in vectors],
-                dtype=np.float64,
-            )
-            data_angles = np.array(
-                [angle_between(v, centroids.data_ref) for v in vectors],
-                dtype=np.float64,
-            )
-            deltas = np.array(
-                [
-                    angle_between(vectors[i], vectors[i + 1])
-                    for i in range(vectors.shape[0] - 1)
-                ],
-                dtype=np.float64,
-            )
-        return self._walk_axis(
-            meta_angles,
-            data_angles,
-            deltas,
-            centroids,
-            max_depth=max_depth,
-            metadata_kind=metadata_kind,
-            detect_cmd=detect_cmd,
-            with_evidence=with_evidence,
-        )
-
     def axis_ranges(
         self, centroids: CentroidSet
     ) -> tuple[AngleRange, AngleRange, AngleRange]:
         """The margin-widened ``(C_MDE, C_DE, C_MDE-DE)`` triple.
 
-        Pure and cheap, but called once per axis per table on the walk;
-        corpus callers compute it once per batch and pass it through
-        :meth:`_walk_axis`'s ``ranges``.
+        Computed once per axis per batch and passed to every table's
+        :meth:`_walk_axis`.
         """
         margin = self.config.range_margin
         return (
@@ -294,30 +237,25 @@ class MetadataClassifier:
 
     def _walk_axis(
         self,
-        meta_angles: np.ndarray | Sequence[float],
-        data_angles: np.ndarray | Sequence[float],
-        deltas: np.ndarray | Sequence[float],
+        meta_angles: list[float],
+        data_angles: list[float],
+        deltas: list[float],
         centroids: CentroidSet,
         *,
         max_depth: int,
         metadata_kind: LevelKind,
         detect_cmd: bool,
-        with_evidence: bool = True,
-        ranges: tuple[AngleRange, AngleRange, AngleRange] | None = None,
+        with_evidence: bool,
+        ranges: tuple[AngleRange, AngleRange, AngleRange],
     ) -> tuple[list[LevelLabel], list[LevelEvidence]]:
-        """The sequential decision walk over precomputed angle arrays.
+        """The sequential decision walk over precomputed angle lists.
 
-        This is the single source of the label semantics: the per-table
-        path (:meth:`_classify_axis`) and the fused corpus path
-        (:mod:`repro.core.fused`) both land here, so a batch classified
-        through either produces identical labels by construction.
-
-        ``ranges`` lets a corpus caller pass the widened
-        ``(C_MDE, C_DE, C_MDE-DE)`` triple once (see
-        :meth:`axis_ranges`) instead of re-widening per table.
+        This is the single source of the label semantics: the fused
+        plane (:meth:`_classify`) and the level-by-level reference
+        (:func:`reference_classify`) both land here.  The walk is a pure
+        Python state machine, so it takes plain float lists; numpy
+        scalar extraction per element would dominate it.
         """
-        if ranges is None:
-            ranges = self.axis_ranges(centroids)
         c_mde, c_de, c_mde_de = ranges
         # Plain-float bounds: the loop below tests range membership a few
         # times per level, and an ``AngleRange.__contains__`` method call
@@ -330,33 +268,16 @@ class MetadataClassifier:
         ref_slack = self.config.ref_slack
         ref_override = self.config.ref_override
 
-        # One bulk conversion to Python floats: the walk below is a pure
-        # Python state machine, and per-element numpy scalar extraction
-        # would dominate it.  Corpus callers pass pre-converted lists.
-        meta_list: list[float] = (
-            meta_angles
-            if type(meta_angles) is list
-            else np.asarray(meta_angles).tolist()
-        )
-        data_list: list[float] = (
-            data_angles
-            if type(data_angles) is list
-            else np.asarray(data_angles).tolist()
-        )
-        delta_list: list[float] = (
-            deltas if type(deltas) is list else np.asarray(deltas).tolist()
-        )
-
         labels: list[LevelLabel] = []
         evidence: list[LevelEvidence] = []
         depth = 0
         transitioned = False  # have we crossed the metadata->data boundary?
         prev_is_meta = False
 
-        for index in range(len(meta_list)):
-            a_meta = meta_list[index]
-            a_data = data_list[index]
-            delta = delta_list[index - 1] if index > 0 else None
+        for index in range(len(meta_angles)):
+            a_meta = meta_angles[index]
+            a_data = data_angles[index]
+            delta = deltas[index - 1] if index > 0 else None
             # Rule strings exist for Fig. 5 rendering only; the labels-only
             # path skips formatting them (they are pure reporting).
             rule = ""
@@ -471,3 +392,43 @@ class MetadataClassifier:
     def vmd_depth(self, table: Table) -> int:
         """Predicted vertical-metadata depth."""
         return self.classify(table).vmd_depth
+
+
+def reference_classify(
+    classifier: MetadataClassifier, table: Table
+) -> TableAnnotation:
+    """Algorithm 1 computed level by level: the equivalence oracle.
+
+    Each level vector comes from :mod:`repro.core.aggregate` (per-token
+    lookups), each angle from one scalar :func:`angle_between` call, and
+    the labels from the same decision walk the fused plane runs.  Slow
+    by design; ``repro fuzz`` and the equivalence tests hold the fused
+    plane's labels to it.
+    """
+    config = classifier.config
+    labels = []
+    for aggregate, centroids, max_depth, kind, detect_cmd in (
+        (aggregate_rows, classifier.row_centroids, config.max_hmd_depth,
+         LevelKind.HMD, config.detect_cmd),
+        (aggregate_cols, classifier.col_centroids, config.max_vmd_depth,
+         LevelKind.VMD, False),
+    ):
+        vectors = aggregate(classifier.embedder, table, config.aggregation)
+        if classifier.projection is not None:
+            vectors = classifier.projection.transform(vectors)
+        axis_labels, _ = classifier._walk_axis(
+            [angle_between(v, centroids.meta_ref) for v in vectors],
+            [angle_between(v, centroids.data_ref) for v in vectors],
+            [
+                angle_between(vectors[i], vectors[i + 1])
+                for i in range(len(vectors) - 1)
+            ],
+            centroids,
+            max_depth=max_depth,
+            metadata_kind=kind,
+            detect_cmd=detect_cmd,
+            with_evidence=False,
+            ranges=classifier.axis_ranges(centroids),
+        )
+        labels.append(tuple(axis_labels))
+    return TableAnnotation(*labels)

@@ -1,36 +1,28 @@
-"""Vectorized table-embedding plane.
+"""Batched level embedding for the fit side.
 
-The scalar path (:mod:`repro.core.aggregate`) builds each aggregated
-level vector (Def. 8) independently: every row and every column
-tokenizes its cells and embeds every token with a per-token Python
-call — so each cell is tokenized **twice** per table (once for its row,
-once for its column) and a token that appears a hundred times costs a
-hundred lookups per axis.
+Centroid estimation and the contrastive projection's training pairs
+aggregate arbitrary batches of bootstrap levels (Def. 8).
+:func:`level_vectors` builds the whole batch in one pass instead of one
+:func:`~repro.core.aggregate.aggregate_level` call per level:
 
-This module builds all level vectors of a table in one pass:
-
-1. tokenize every cell exactly once, recording ``(row, col, token_id)``
-   occurrence triples against a table-local unique-token id space
-   (identical cell strings — blanks, repeated values — tokenize once);
+1. read every cell's tokens through the fused plane's per-cell memo
+   (:func:`repro.core.fused.cell_token_texts`), recording
+   ``(level, token_id)`` occurrence pairs against a batch-local
+   unique-token id space;
 2. resolve the unique tokens with a single batched
    :meth:`~repro.embeddings.lookup.TermEmbedder.vectors` call;
-3. scatter the occurrences into per-level token-count matrices and
-   produce every row aggregate and every column aggregate with two
-   count x vector matmuls (sparse when the count matrix would be big).
+3. scatter the occurrences into a per-level token-count matrix and
+   produce every level aggregate with one count x vector matmul (sparse
+   when the count matrix would be big).
 
 The result is numerically the same summation as the scalar path (up to
-floating-point re-association) and produces identical annotations; the
-``benchmarks/test_bench_aggregate.py`` bench records the speedup.
-
-Modes the fast path cannot express fall back to the scalar
-implementation: ``concat`` aggregation needs the first-k term vectors
-in order, and contextual aggregation needs per-sentence encoder state.
+floating-point re-association).  Modes the batched path cannot express
+(``concat``, contextual encoders) fall back to the scalar
+implementation.  Classification itself runs on :mod:`repro.core.fused`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,54 +30,15 @@ import numpy as np
 from repro.core.aggregate import (
     AggregationConfig,
     DEFAULT_AGGREGATION,
-    aggregate_cols,
     aggregate_level,
-    aggregate_rows,
 )
 from repro import obs
+from repro.core.fused import cell_token_texts, supports_fast_path
 from repro.embeddings.lookup import TermEmbedder
-from repro.tables.model import Table
-from repro.text import tokenize
 
 #: Above this many count-matrix entries, scatter through scipy.sparse
 #: instead of a dense bincount reshape (memory, not speed).
 _DENSE_COUNT_LIMIT = 1 << 22
-
-
-@lru_cache(maxsize=131_072)
-def _cell_token_texts(cell: str, lowercase: bool = True) -> tuple[str, ...]:
-    """Memoized tokenization of one cell string.
-
-    Cell contents repeat heavily both within a table (blanks, repeated
-    categories) and across a served corpus (shared headers), and regex
-    tokenization is the single most expensive per-cell step, so the memo
-    is process-global.  ``lru_cache`` is thread safe and bounded; the key
-    is the (cell text, tokenizer fingerprint) pair — tokenization is a
-    pure function of the cell *and* the tokenizer configuration, so two
-    pipelines with different ``lowercase`` settings in one process must
-    not share entries.  ``lowercase`` is currently the tokenizer's whole
-    configuration surface; a new tokenizer knob must join this key.
-    """
-    return tuple(token.text for token in tokenize(cell, lowercase=lowercase))
-
-
-@dataclass(frozen=True)
-class TableEmbedding:
-    """All aggregated level vectors of one table, built in one pass."""
-
-    row_vectors: np.ndarray  # (n_rows, dim)
-    col_vectors: np.ndarray  # (n_cols, dim)
-    n_tokens: int  # total token occurrences in the grid
-    n_unique_tokens: int  # size of the table-local token id space
-
-
-def supports_fast_path(embedder: TermEmbedder, config: AggregationConfig) -> bool:
-    """True when the vectorized plane can reproduce ``config`` exactly."""
-    if config.mode == "concat":
-        return False
-    if config.contextual and hasattr(embedder.model, "encode_sentence"):
-        return False
-    return True
 
 
 def _counts_matmul(
@@ -97,136 +50,27 @@ def _counts_matmul(
     """Sum ``vectors[token]`` into its level -> ``(n_levels, dim)``.
 
     Dense path: bincount the flattened (level, token) pairs into a count
-    matrix and matmul.  Large tables go through a scipy COO matrix so the
-    count matrix never materializes densely; without scipy, a scatter-add
-    over the occurrence rows does the same work.
-
-    The accumulation dtype follows ``vectors.dtype`` (float64 on the
-    per-table path, float32 on the fused corpus path).
+    matrix and matmul.  Large batches go through a scipy COO matrix so
+    the count matrix never materializes densely; without scipy, a
+    scatter-add over the occurrence rows does the same work.
     """
     n_unique = vectors.shape[0]
-    dtype = vectors.dtype if vectors.dtype.kind == "f" else np.float64
-    if level_idx.size == 0:
-        return np.zeros((n_levels, vectors.shape[1]), dtype=dtype)
     if n_levels * n_unique <= _DENSE_COUNT_LIMIT:
         counts = np.bincount(
             level_idx * n_unique + token_idx, minlength=n_levels * n_unique
         ).reshape(n_levels, n_unique)
-        return counts.astype(dtype) @ vectors
+        return counts.astype(vectors.dtype) @ vectors
     try:
         from scipy import sparse
     except ImportError:  # pragma: no cover - scipy ships with the env
-        out = np.zeros((n_levels, vectors.shape[1]), dtype=dtype)
+        out = np.zeros((n_levels, vectors.shape[1]), dtype=vectors.dtype)
         np.add.at(out, level_idx, vectors[token_idx])
         return out
     counts = sparse.coo_matrix(
-        (np.ones(level_idx.size, dtype=dtype), (level_idx, token_idx)),
+        (np.ones(level_idx.size, dtype=vectors.dtype), (level_idx, token_idx)),
         shape=(n_levels, n_unique),
     ).tocsr()
     return np.asarray(counts @ vectors)
-
-
-def _finalize(
-    summed: np.ndarray, level_token_counts: np.ndarray, mode: str
-) -> np.ndarray:
-    if mode == "mean":
-        occupied = level_token_counts > 0
-        summed[occupied] /= level_token_counts[occupied, None]
-    return summed
-
-
-def embed_table(
-    embedder: TermEmbedder,
-    table: Table,
-    config: AggregationConfig = DEFAULT_AGGREGATION,
-) -> TableEmbedding:
-    """Every row and column aggregate of ``table``, one tokenize pass.
-
-    Degenerate tables are first-class: zero rows, zero columns, or an
-    all-empty grid produce correctly shaped (possibly empty or all-zero)
-    vector blocks, never an exception.
-    """
-    n_rows, n_cols = table.shape
-    if not supports_fast_path(embedder, config):
-        with obs.span("embed", rows=n_rows, cols=n_cols, fast_path=False):
-            return TableEmbedding(
-                row_vectors=aggregate_rows(embedder, table, config),
-                col_vectors=aggregate_cols(embedder, table, config),
-                n_tokens=-1,
-                n_unique_tokens=-1,
-            )
-
-    dim = embedder.dim
-    if n_rows == 0 or n_cols == 0:
-        return TableEmbedding(
-            row_vectors=np.zeros((n_rows, dim)),
-            col_vectors=np.zeros((n_cols, dim)),
-            n_tokens=0,
-            n_unique_tokens=0,
-        )
-
-    with obs.span("embed", rows=n_rows, cols=n_cols) as embed_span:
-        # Two-stage aggregation: sum token vectors into *unique-cell*
-        # vectors first, then scatter cell vectors over the grid.  Cells
-        # repeat (blanks, categories, shared headers), so the Python-level
-        # work shrinks to one dict lookup per grid cell plus one tokenize
-        # per unique cell; everything after is array arithmetic.
-        with obs.span("tokenize"):
-            cell_ids: dict[str, int] = {}
-            grid: list[int] = []
-            for row in table.rows:
-                for cell in row:
-                    grid.append(cell_ids.setdefault(cell, len(cell_ids)))
-
-            token_ids: dict[str, int] = {}
-            occ_cells: list[int] = []
-            occ_toks: list[int] = []
-            for cell_id, cell in enumerate(cell_ids):
-                for text in _cell_token_texts(cell, config.lowercase):
-                    occ_cells.append(cell_id)
-                    occ_toks.append(token_ids.setdefault(text, len(token_ids)))
-
-        if not token_ids:
-            return TableEmbedding(
-                row_vectors=np.zeros((n_rows, dim)),
-                col_vectors=np.zeros((n_cols, dim)),
-                n_tokens=0,
-                n_unique_tokens=0,
-            )
-
-        vectors = embedder.vectors(list(token_ids))  # (n_unique_tokens, dim)
-        with obs.span("aggregate"):
-            cells_arr = np.asarray(occ_cells, dtype=np.intp)
-            toks_arr = np.asarray(occ_toks, dtype=np.intp)
-            n_cells = len(cell_ids)
-            cell_vecs = _counts_matmul(cells_arr, toks_arr, n_cells, vectors)
-            cell_token_counts = np.bincount(cells_arr, minlength=n_cells)
-
-            grid_arr = np.asarray(grid, dtype=np.intp)  # (n_rows * n_cols,)
-            row_idx = np.repeat(np.arange(n_rows, dtype=np.intp), n_cols)
-            col_idx = np.tile(np.arange(n_cols, dtype=np.intp), n_rows)
-            grid_token_counts = cell_token_counts[grid_arr]
-
-            row_vecs = _counts_matmul(row_idx, grid_arr, n_rows, cell_vecs)
-            col_vecs = _counts_matmul(col_idx, grid_arr, n_cols, cell_vecs)
-            row_vecs = _finalize(
-                row_vecs,
-                np.bincount(row_idx, weights=grid_token_counts, minlength=n_rows),
-                config.mode,
-            )
-            col_vecs = _finalize(
-                col_vecs,
-                np.bincount(col_idx, weights=grid_token_counts, minlength=n_cols),
-                config.mode,
-            )
-        n_tokens = int(grid_token_counts.sum())
-        embed_span.set(tokens=n_tokens, unique_tokens=len(token_ids))
-    return TableEmbedding(
-        row_vectors=row_vecs,
-        col_vectors=col_vecs,
-        n_tokens=n_tokens,
-        n_unique_tokens=len(token_ids),
-    )
 
 
 def level_vectors(
@@ -255,7 +99,7 @@ def level_vectors(
         for index, cells in enumerate(levels):
             for cell in cells:
                 text = cell if isinstance(cell, str) else "" if cell is None else str(cell)
-                for token_text in _cell_token_texts(text, config.lowercase):
+                for token_text in cell_token_texts(text, config.lowercase):
                     occ_levels.append(index)
                     occ_toks.append(token_ids.setdefault(token_text, len(token_ids)))
 
@@ -265,6 +109,8 @@ def level_vectors(
         levels_arr = np.asarray(occ_levels, dtype=np.intp)
         toks_arr = np.asarray(occ_toks, dtype=np.intp)
         summed = _counts_matmul(levels_arr, toks_arr, len(levels), vectors)
-        return _finalize(
-            summed, np.bincount(levels_arr, minlength=len(levels)), config.mode
-        )
+        if config.mode == "mean":
+            totals = np.bincount(levels_arr, minlength=len(levels))
+            occupied = totals > 0
+            summed[occupied] /= totals[occupied, None]
+        return summed

@@ -1,18 +1,15 @@
-"""Corpus-level fused classification.
+"""Fused classification: the one classify plane.
 
-The vectorized plane (:mod:`repro.core.embedding_plane`) collapsed the
-per-*level* Python work of one table into scatter matmuls, but a corpus
-run still pays per-table overhead a hundred times over: a tokenize
-pass, a locked cache sweep, a dozen small array allocations, and an
-angle walk per table.  This module moves the fusion boundary to the
-shard, following TabVec's framing of tables as points in one shared
-embedding space:
+Every ``classify``, ``classify_result`` and ``classify_corpus`` call
+packs its tables into one shard (a single table is a one-table shard),
+following TabVec's framing of tables as points in one shared embedding
+space:
 
-1. **intern** — one corpus-wide pass builds a global unique-cell table
-   and resolves each distinct cell against the process-global token-id
-   vocabulary (:class:`_TokenVocab`).  A cell string tokenizes once per
-   process (not once per table, not once per shard), and its token-id
-   array comes back from a memo as a ready-made index block;
+1. **intern** — a pass over the shard's distinct cells resolves each
+   against the process-global token-id vocabulary (:class:`_TokenVocab`).
+   A cell string tokenizes once per process (not once per table, not
+   once per shard), and its token-id array comes back from a memo as a
+   ready-made index block;
 2. **pack** — the shard becomes flat COO blocks: ``(cell, token-id)``
    occurrence pairs over the unique cells, plus per-table grids of
    global ``(row, col, cell)`` indices with table-offset bookkeeping
@@ -21,30 +18,30 @@ embedding space:
    precomputed column-major permutation for the column axis — so the
    aggregation below is pure gather + segment-reduce;
 3. **aggregate** — every row aggregate and every column aggregate of
-   every table comes out of segment-scatter reductions across table
-   boundaries (Def. 8 for the whole shard in two gather/reduce chains),
-   in float32 by default, optionally through an int8-quantized token
-   matrix with per-row scales;
-4. **walk** — one batched angle pass
-   (:func:`repro.core.angles.segmented_walk_angles`) computes every
-   reference angle and adjacent delta of the corpus, and the
-   classifier's shared decision walk
-   (:meth:`~repro.core.classifier.MetadataClassifier._walk_axis`)
-   assigns labels per table from the precomputed views.
+   every table comes out of float32 segment-scatter reductions across
+   table boundaries (Def. 8 for the whole shard in two gather/reduce
+   chains);
+4. **walk** — :meth:`~repro.core.classifier.MetadataClassifier._classify`
+   runs one batched angle pass
+   (:func:`repro.core.angles.segmented_walk_angles`) over the blocks
+   :func:`level_blocks` returns, then the shared decision walk per
+   table.
 
-Because the decision walk is literally the same code the per-table path
-runs, labels are identical to a ``classify`` loop whenever the angles
-are (float64 mode reproduces them; float32 holds in practice because
-decisions sit far from range boundaries — the equivalence suite pins
-this, and ``fused_dtype="float64"`` is the escape hatch).
+Aggregation modes the packed plane cannot express (``concat``,
+contextual encoders) build their level blocks with
+:mod:`repro.core.aggregate` in :func:`level_blocks` and join the same
+walk.  Labels match the level-by-level reference
+(:func:`repro.core.classifier.reference_classify`) because decisions
+sit far from range boundaries in float32; the equivalence suite pins
+this on every embedding backend.
 
-Token vectors resolve three ways, fastest first: a per-embedder
-float32 row matrix indexed by global token id (:class:`_TokenRowCache`
-— a warm shard's token matrix is one fancy-index gather), a packed
-vocabulary matrix from the model store
-(:class:`repro.embeddings.lookup.PackedVocabulary`, memory-mapped, so
-fleet/parallel workers page-share it), or the embedder's batched
-lookup for everything else.
+Token vectors resolve two ways: a per-embedder float32 row matrix
+indexed by global token id (:class:`_TokenRowCache` — a warm shard's
+token matrix is one fancy-index gather, and each token vector is held
+there once), or, for stores saved with a packed vocabulary, the
+memory-mapped :class:`repro.embeddings.lookup.PackedVocabulary` rows
+(f32 or int8 with per-row scales), which fleet and parallel workers
+page-share.
 """
 
 from __future__ import annotations
@@ -58,12 +55,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.aggregate import AggregationConfig
-from repro.core.angles import segmented_walk_angles
-from repro.core.embedding_plane import _cell_token_texts, supports_fast_path
-from repro.embeddings.lookup import TermEmbedder, quantize_rows
-from repro.tables.labels import LevelKind, TableAnnotation
+from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
+from repro.embeddings.lookup import TermEmbedder
 from repro.tables.model import Table
+from repro.text import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.classifier import MetadataClassifier
@@ -112,8 +107,10 @@ class _TokenVocab:
                     if len(ids) >= _VOCAB_LIMIT:
                         return None
                     known = len(ids)
-                    ids[text] = known
+                    # Text first: a lock-free reader that sees the id
+                    # must find its text.
                     self.texts.append(text)
+                    ids[text] = known
                 out[i] = known
         out.setflags(write=False)
         return out
@@ -122,30 +119,65 @@ class _TokenVocab:
 _VOCAB = _TokenVocab()
 
 
+def supports_fast_path(embedder: TermEmbedder, config: AggregationConfig) -> bool:
+    """True when the packed plane can reproduce ``config`` exactly.
+
+    ``concat`` aggregation needs the first-k term vectors in order, and
+    contextual aggregation needs per-sentence encoder state; both build
+    their level blocks with :mod:`repro.core.aggregate` instead.
+    """
+    if config.mode == "concat":
+        return False
+    if config.contextual and hasattr(embedder.model, "encode_sentence"):
+        return False
+    return True
+
+
 @lru_cache(maxsize=131_072)
 def _cell_token_ids(cell: str, lowercase: bool) -> np.ndarray | None:
     """Memoized cell -> read-only array of global token ids.
 
-    Keyed like ``_cell_token_texts`` — by (cell text, tokenizer
-    fingerprint) — so two pipelines with different ``lowercase``
-    settings never share entries.  The ids themselves are
-    tokenizer-agnostic (same text, same id).  Returns ``None`` when the
-    global vocabulary is full; callers fall back to local interning.
+    The process's one per-cell memo: cell contents repeat heavily both
+    within a table (blanks, repeated categories) and across a served
+    corpus (shared headers), and regex tokenization is the most
+    expensive per-cell step.  The key is the (cell text, tokenizer
+    fingerprint) pair — tokenization is a pure function of the cell
+    *and* the tokenizer configuration, so two pipelines with different
+    ``lowercase`` settings in one process must not share entries.
+    ``lowercase`` is currently the tokenizer's whole configuration
+    surface; a new tokenizer knob must join this key.  The ids
+    themselves are tokenizer-agnostic (same text, same id).  Returns
+    ``None`` when the global vocabulary is full; callers fall back to
+    :func:`cell_token_texts`.
     """
-    return _VOCAB.intern(_cell_token_texts(cell, lowercase))
+    return _VOCAB.intern(
+        [token.text for token in tokenize(cell, lowercase=lowercase)]
+    )
+
+
+def cell_token_texts(cell: str, lowercase: bool) -> list[str]:
+    """The token texts of one cell, read through :func:`_cell_token_ids`.
+
+    Tokenizes directly (uncached) only when the global vocabulary is
+    full.
+    """
+    ids = _cell_token_ids(cell, lowercase)
+    if ids is None:
+        return [token.text for token in tokenize(cell, lowercase=lowercase)]
+    texts = _VOCAB.texts
+    return [texts[i] for i in ids]
 
 
 class _TokenRowCache:
     """Per-embedder float32 rows indexed by *global token id*.
 
-    ``TermEmbedder.vectors`` already dedups and caches per token, but
-    its warm path still hashes strings and stacks thousands of small
-    float64 arrays per shard.  Here the matrix row index IS the global
-    token id, so a warm shard's token matrix is one fancy-index gather
-    with no per-token Python at all; only unseen ids go through the
-    embedder.  Safe because an embedder's token->vector map is
-    immutable (backend and OOV back-off are deterministic, centering is
-    fixed at construction).
+    The matrix row index IS the global token id, so a warm shard's
+    token matrix is one fancy-index gather with no per-token Python at
+    all; only unseen ids are resolved, through
+    :meth:`TermEmbedder.resolve`, which leaves the embedder's own token
+    LRU alone — each token vector is held once, here.  Safe because an
+    embedder's token->vector map is immutable (backend and OOV back-off
+    are deterministic, centering is fixed at construction).
     """
 
     def __init__(self, dim: int) -> None:
@@ -158,36 +190,43 @@ class _TokenRowCache:
     ) -> np.ndarray | None:
         """Back every id in sorted ``used_ids``; returns the id-indexed
         matrix, or ``None`` when an id exceeds :data:`_TOKEN_ROWS_LIMIT`
-        (callers fall back to a compact per-shard matrix)."""
+        (callers fall back to a compact per-shard matrix).
+
+        Misses resolve outside the lock, so concurrent shards do not
+        queue behind each other's OOV back-off; two shards missing the
+        same id both resolve it, to the same vector.  The matrix only
+        grows (growth copies it under the lock), so rows written into
+        whichever matrix is current land where every later reader
+        looks.
+        """
         if used_ids.size == 0:
             return self._matrix
         top = int(used_ids[-1]) + 1
         if top > _TOKEN_ROWS_LIMIT:
             return None
         with self._lock:
-            capacity = self._matrix.shape[0]
-            if top > capacity:
-                grown = np.zeros(
-                    (max(top, 2 * capacity), self._matrix.shape[1]),
-                    dtype=np.float32,
-                )
-                grown[:capacity] = self._matrix
-                self._matrix = grown
-                known = np.zeros(grown.shape[0], dtype=bool)
-                known[:capacity] = self._known
-                self._known = known
+            self._grow(top)
             missing = used_ids[~self._known[used_ids]]
-            if missing.size:
-                texts = [_VOCAB.texts[i] for i in missing]
-                # One-way ordering by construction: the embedder's
-                # cache lock never calls back into a row cache, so
-                # _lock -> _cache_lock can never invert.
-                # repro-lint: disable=lock-held-call-acquires
-                self._matrix[missing] = embedder.vectors(texts).astype(
-                    np.float32
-                )
-                self._known[missing] = True
+            if not missing.size:
+                return self._matrix
+        vectors = embedder.resolve([_VOCAB.texts[i] for i in missing])
+        with self._lock:
+            self._matrix[missing] = vectors
+            self._known[missing] = True
             return self._matrix
+
+    def _grow(self, top: int) -> None:
+        capacity = self._matrix.shape[0]
+        if top <= capacity:
+            return
+        grown = np.zeros(
+            (max(top, 2 * capacity), self._matrix.shape[1]), dtype=np.float32
+        )
+        grown[:capacity] = self._matrix
+        self._matrix = grown
+        known = np.zeros(grown.shape[0], dtype=bool)
+        known[:capacity] = self._known
+        self._known = known
 
 
 _ROW_CACHES: "weakref.WeakKeyDictionary[TermEmbedder, _TokenRowCache]" = (
@@ -427,7 +466,7 @@ def pack_corpus(
             occ_cells_list: list[int] = []
             occ_toks_list: list[int] = []
             for cell_id, cell in enumerate(cell_ids):
-                texts = _cell_token_texts(cell, lowercase)
+                texts = cell_token_texts(cell, lowercase)
                 if texts:
                     occ_cells_list.extend([cell_id] * len(texts))
                     occ_toks_list.extend(
@@ -532,111 +571,80 @@ def _indexed_segment_sum(
 
 
 def token_matrix(
-    embedder: TermEmbedder,
-    tokens: Sequence[str],
-    dtype: np.dtype | type = np.float32,
-    *,
-    quantize: bool = False,
+    embedder: TermEmbedder, tokens: Sequence[str]
 ) -> np.ndarray:
-    """Resolve a token vocabulary by text -> ``(n_tokens, dim)``.
+    """Resolve a token vocabulary by text -> float32 ``(n_tokens, dim)``.
 
     Prefers the embedder's packed vocabulary matrix when one is attached
-    (known tokens gather from the memory-mapped rows; OOV tokens fall
-    back to one batched embedder call).  ``quantize`` pushes the matrix
-    through int8-with-per-row-scales and back — the same arithmetic a
-    ``q8`` packed store applies — so quantized accuracy is testable
-    without a store on disk.  A ``q8`` packed matrix is already
-    quantized; it is not quantized twice.
+    (known tokens gather from the memory-mapped rows, dequantized when
+    the store was packed ``q8``; OOV tokens fall back to one batched
+    embedder call).
     """
     packed = embedder.packed
-    already_quantized = False
     if packed is None:
-        matrix = embedder.vectors(list(tokens)).astype(dtype, copy=False)
-    else:
-        already_quantized = packed.kind == "q8"
-        out = np.zeros((len(tokens), embedder.dim), dtype=np.float32)
-        known_pos: list[int] = []
-        known_ids: list[int] = []
-        oov_pos: list[int] = []
-        for pos, token in enumerate(tokens):
-            token_id = packed.id_of(token)
-            if token_id is None:
-                oov_pos.append(pos)
-            else:
-                known_pos.append(pos)
-                known_ids.append(token_id)
-        if known_pos:
-            out[np.asarray(known_pos, dtype=np.intp)] = packed.rows(
-                np.asarray(known_ids, dtype=np.intp)
-            )
-        if oov_pos:
-            oov_tokens = [tokens[i] for i in oov_pos]
-            out[np.asarray(oov_pos, dtype=np.intp)] = embedder.vectors(
-                oov_tokens
-            ).astype(np.float32)
-        matrix = out.astype(dtype, copy=False)
-    if quantize and not already_quantized and matrix.size:
-        q, scales = quantize_rows(matrix.astype(np.float32, copy=False))
-        matrix = q.astype(dtype) * scales.astype(dtype)[:, None]
-    return matrix
+        return embedder.vectors(list(tokens)).astype(np.float32)
+    out = np.zeros((len(tokens), embedder.dim), dtype=np.float32)
+    known_pos: list[int] = []
+    known_ids: list[int] = []
+    oov_pos: list[int] = []
+    for pos, token in enumerate(tokens):
+        token_id = packed.id_of(token)
+        if token_id is None:
+            oov_pos.append(pos)
+        else:
+            known_pos.append(pos)
+            known_ids.append(token_id)
+    if known_pos:
+        out[np.asarray(known_pos, dtype=np.intp)] = packed.rows(
+            np.asarray(known_ids, dtype=np.intp)
+        )
+    if oov_pos:
+        oov_tokens = [tokens[i] for i in oov_pos]
+        out[np.asarray(oov_pos, dtype=np.intp)] = embedder.vectors(oov_tokens)
+    return out
 
 
 def _token_rows(
-    embedder: TermEmbedder,
-    pack: CorpusPack,
-    dtype: np.dtype,
-    quantize: bool,
+    embedder: TermEmbedder, pack: CorpusPack
 ) -> tuple[np.ndarray, np.ndarray]:
     """The shard's token vectors, unmaterialized: ``(rows, occ_idx)``.
 
     ``rows[occ_idx[j]]`` is the vector of token occurrence ``j`` — the
     caller feeds both straight into :func:`_indexed_segment_sum` so the
     per-occurrence matrix never exists.  Fast path: the id-indexed
-    per-embedder row cache with ``occ_idx = pack.occ_toks`` (float32,
-    no quantization, no packed store); everything else resolves a
-    compact per-shard :func:`token_matrix`.
+    per-embedder row cache with ``occ_idx = pack.occ_toks``; packed
+    stores and shards past the row cache's limits resolve a compact
+    per-shard :func:`token_matrix`.
     """
-    if (
-        pack.token_space == "global"
-        and dtype == np.float32
-        and not quantize
-        and embedder.packed is None
-    ):
+    if pack.token_space == "global" and embedder.packed is None:
         full = _row_cache(embedder).ensure(embedder, pack.used_token_ids)
         if full is not None:
             return full, pack.occ_toks
-    matrix = token_matrix(
-        embedder, pack.token_texts(), dtype, quantize=quantize
-    )
-    return matrix, pack.compact_occ_toks()
+    return token_matrix(embedder, pack.token_texts()), pack.compact_occ_toks()
 
 
 def fused_level_matrices(
     embedder: TermEmbedder,
     pack: CorpusPack,
     config: AggregationConfig = AggregationConfig(),
-    *,
-    dtype: np.dtype | type = np.float32,
-    quantize: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every row and column aggregate of the shard (stage 3).
+    """Every row and column aggregate of the shard (stage 3), float32.
 
     Returns ``(row_matrix, col_matrix)`` of shapes
     ``(pack.total_rows, dim)`` / ``(pack.total_cols, dim)``; slice with
     ``pack.row_offsets`` / ``pack.col_offsets`` to recover one table's
-    blocks.  The same two-stage scatter as the per-table plane — token
-    vectors sum into unique-cell vectors, cell vectors scatter over the
-    grids — but with *global* row/column segments, so one gather/reduce
-    chain crosses every table boundary in the shard.
+    blocks.  Two-stage scatter: token vectors sum into unique-cell
+    vectors, cell vectors scatter over the grids — with *global*
+    row/column segments, so one gather/reduce chain crosses every table
+    boundary in the shard.
     """
     dim = embedder.dim
-    out_dtype = np.dtype(dtype)
     if pack.occ_toks.size == 0:
         return (
-            np.zeros((pack.total_rows, dim), dtype=out_dtype),
-            np.zeros((pack.total_cols, dim), dtype=out_dtype),
+            np.zeros((pack.total_rows, dim), dtype=np.float32),
+            np.zeros((pack.total_cols, dim), dtype=np.float32),
         )
-    token_rows, occ_idx = _token_rows(embedder, pack, out_dtype, quantize)
+    token_rows, occ_idx = _token_rows(embedder, pack)
 
     cell_counts = np.bincount(pack.occ_cells, minlength=pack.n_cells)
     cell_vecs = _indexed_segment_sum(
@@ -652,7 +660,7 @@ def fused_level_matrices(
         cell_vecs, col_cells, col_widths, pack.total_cols
     )
     if config.mode == "mean":
-        per_cell = cell_counts.astype(out_dtype)[:, None]
+        per_cell = cell_counts.astype(np.float32)[:, None]
         row_totals = _indexed_segment_sum(
             per_cell, pack.grid_cells, row_widths, pack.total_rows
         )[:, 0]
@@ -669,88 +677,58 @@ def _mean_in_place(summed: np.ndarray, totals: np.ndarray) -> None:
     summed[occupied] /= totals[occupied, None]
 
 
-def classify_corpus(
+def _stack_blocks(blocks: list[np.ndarray], dim: int) -> np.ndarray:
+    """Concatenate per-table level blocks, skipping empty ones (a
+    zero-level block is ``(0, dim)`` even where ``concat`` widens the
+    others)."""
+    filled = [block for block in blocks if block.shape[0]]
+    return np.concatenate(filled) if filled else np.zeros((0, dim))
+
+
+def _offsets(blocks: list[np.ndarray]) -> np.ndarray:
+    offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
+    np.cumsum([block.shape[0] for block in blocks], out=offsets[1:])
+    return offsets
+
+
+def level_blocks(
     classifier: "MetadataClassifier", tables: Sequence[Table]
-) -> list[TableAnnotation]:
-    """Classify a shard of tables through the fused corpus plane.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every (projected) row and column vector of a shard of tables.
 
-    The entry point :meth:`MetadataClassifier.classify_corpus` routes
-    here when ``config.fused`` allows it; aggregation modes the fast
-    path cannot express (``concat``, contextual encoders) fall back to
-    the per-table loop.
+    Returns ``(row_matrix, col_matrix, row_offsets, col_offsets)``; the
+    ``(n_tables + 1,)`` offset prefixes slice the matrices back into
+    per-table blocks.  Degenerate tables (zero rows, zero columns,
+    all-blank grids) yield empty or all-zero blocks, never an
+    exception.
     """
-    config = classifier.config
-    if not supports_fast_path(classifier.embedder, config.aggregation):
-        return [classifier.classify(t) for t in tables]
-    dtype = np.float32 if config.fused_dtype == "float32" else np.float64
-
-    # The root keeps the per-table path's span name — one "classify"
-    # covering the whole shard, so trace consumers (and the CLI trace
-    # profile) see classification work under the same label either way.
-    with obs.span("classify", n_tables=len(tables), fused=True) as root:
-        pack = pack_corpus(tables, config.aggregation)
-        with obs.span("fused.aggregate", dtype=str(np.dtype(dtype))):
+    embedder = classifier.embedder
+    config = classifier.config.aggregation
+    if supports_fast_path(embedder, config):
+        pack = pack_corpus(tables, config)
+        with obs.span("fused.aggregate", tokens=pack.n_tokens):
             row_matrix, col_matrix = fused_level_matrices(
-                classifier.embedder,
-                pack,
-                config.aggregation,
-                dtype=dtype,
-                quantize=config.fused_quantize,
+                embedder, pack, config
             )
-            if classifier.projection is not None:
-                row_matrix = classifier.projection.transform(row_matrix)
-                col_matrix = classifier.projection.transform(col_matrix)
+            row_matrix, col_matrix = _project(classifier, row_matrix, col_matrix)
+        return row_matrix, col_matrix, pack.row_offsets, pack.col_offsets
+    with obs.span("aggregate", n_tables=len(tables)):
+        row_blocks = [aggregate_rows(embedder, t, config) for t in tables]
+        col_blocks = [aggregate_cols(embedder, t, config) for t in tables]
+        row_matrix, col_matrix = _project(
+            classifier,
+            _stack_blocks(row_blocks, embedder.dim),
+            _stack_blocks(col_blocks, embedder.dim),
+        )
+    return row_matrix, col_matrix, _offsets(row_blocks), _offsets(col_blocks)
 
-        with obs.span("fused.walk"):
-            row_centroids = classifier.row_centroids
-            col_centroids = classifier.col_centroids
-            row_segments = segmented_walk_angles(
-                row_matrix,
-                row_centroids.meta_ref,
-                row_centroids.data_ref,
-                pack.row_offsets,
-                tolist=True,
-            )
-            col_segments = segmented_walk_angles(
-                col_matrix,
-                col_centroids.meta_ref,
-                col_centroids.data_ref,
-                pack.col_offsets,
-                tolist=True,
-            )
-            row_ranges = classifier.axis_ranges(row_centroids)
-            col_ranges = classifier.axis_ranges(col_centroids)
-            annotations: list[TableAnnotation] = []
-            walk = classifier._walk_axis
-            for (r_meta, r_data, r_delta), (c_meta, c_data, c_delta) in zip(
-                row_segments, col_segments
-            ):
-                row_labels, _ = walk(
-                    r_meta,
-                    r_data,
-                    r_delta,
-                    row_centroids,
-                    max_depth=config.max_hmd_depth,
-                    metadata_kind=LevelKind.HMD,
-                    detect_cmd=config.detect_cmd,
-                    with_evidence=False,
-                    ranges=row_ranges,
-                )
-                col_labels, _ = walk(
-                    c_meta,
-                    c_data,
-                    c_delta,
-                    col_centroids,
-                    max_depth=config.max_vmd_depth,
-                    metadata_kind=LevelKind.VMD,
-                    detect_cmd=False,  # CMD is defined for rows only
-                    with_evidence=False,
-                    ranges=col_ranges,
-                )
-                annotations.append(
-                    TableAnnotation.from_trusted(
-                        tuple(row_labels), tuple(col_labels)
-                    )
-                )
-        root.set(cells=pack.n_cells, tokens=pack.n_tokens)
-    return annotations
+
+def _project(
+    classifier: "MetadataClassifier", rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    if classifier.projection is None:
+        return rows, cols
+    return (
+        classifier.projection.transform(rows),
+        classifier.projection.transform(cols),
+    )

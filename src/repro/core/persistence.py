@@ -23,6 +23,7 @@ Supported embedding backends: ``word2vec``, ``ppmi``, ``contextual``,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -265,10 +266,6 @@ def _pipeline_payload(
             "range_margin": classifier_config.range_margin,
             "ref_slack": classifier_config.ref_slack,
             "ref_override": classifier_config.ref_override,
-            "vectorized": classifier_config.vectorized,
-            "fused": classifier_config.fused,
-            "fused_dtype": classifier_config.fused_dtype,
-            "fused_quantize": classifier_config.fused_quantize,
         },
         "has_projection": pipeline.projection is not None,
     }
@@ -297,6 +294,34 @@ def _pipeline_payload(
         # already records — only the kind needs a state entry.
         state["packed_kind"] = packed.kind
     return arrays, state
+
+
+#: Classifier keys written by stores saved before the classify planes
+#: merged into one.  They only chose between planes that give identical
+#: labels, so loading drops them; q8 token matrices come from stores
+#: packed with ``repro convert --pack q8``.
+_RETIRED_CLASSIFIER_KEYS = frozenset(
+    {"vectorized", "fused", "fused_dtype", "fused_quantize"}
+)
+
+
+def _config_fields(
+    cls: type,
+    saved: Mapping,
+    section: str,
+    *,
+    retired: frozenset[str] = frozenset(),
+) -> dict:
+    """The keyword arguments of a saved config section.
+
+    Retired keys are dropped; any other key the config class does not
+    take means the store was written by an incompatible version.
+    """
+    accepted = {f.name for f in dataclasses.fields(cls)} - {"aggregation"}
+    unknown = sorted(set(saved) - accepted - retired)
+    if unknown:
+        raise PersistenceError(f"unknown {section} config keys {unknown}")
+    return {key: value for key, value in saved.items() if key in accepted}
 
 
 def _assemble_pipeline(state: dict, data: Mapping) -> MetadataPipeline:
@@ -343,9 +368,17 @@ def _assemble_pipeline(state: dict, data: Mapping) -> MetadataPipeline:
         state["col_centroids"], data["col_meta_ref"], data["col_data_ref"]
     )
 
-    aggregation = AggregationConfig(**state["aggregation"])
+    aggregation = AggregationConfig(
+        **_config_fields(AggregationConfig, state["aggregation"], "aggregation")
+    )
     classifier_config = ClassifierConfig(
-        aggregation=aggregation, **state["classifier"]
+        aggregation=aggregation,
+        **_config_fields(
+            ClassifierConfig,
+            state["classifier"],
+            "classifier",
+            retired=_RETIRED_CLASSIFIER_KEYS,
+        ),
     )
 
     pipeline = MetadataPipeline(PipelineConfig())

@@ -353,8 +353,7 @@ class MetadataPipeline:
         """Classify a batch of tables with the fitted classifier.
 
         Delegates to :meth:`MetadataClassifier.classify_corpus`, which
-        fuses the whole batch into one corpus shard when
-        ``ClassifierConfig.fused`` allows it.  Every table still emits
+        fuses the whole batch into one corpus shard.  Every table still emits
         a ``classify`` stage timing — the shard's wall time amortized
         evenly — so bulk runs show up in serve metrics exactly like
         single-table requests.

@@ -306,8 +306,8 @@ class TermEmbedder:
         Duplicates are resolved once: the batch is deduplicated, served
         from the cache under a single lock acquisition, and only the
         misses go to the backend (via its ``batch_vectors`` hook when it
-        has one).  This is the amortized entry point the vectorized
-        aggregation plane rides.
+        has one).  This is the amortized entry point the fit-side level
+        batches (:func:`repro.core.embedding_plane.level_vectors`) ride.
         """
         texts = [t.text if isinstance(t, Token) else t for t in tokens]
         if not texts:
@@ -347,6 +347,22 @@ class TermEmbedder:
             )
             return matrix[gather]
 
+    def resolve(self, tokens: Sequence[str]) -> np.ndarray:
+        """Batched lookup of distinct tokens that bypasses the token LRU.
+
+        For callers that keep their own token cache (the fused plane's
+        id-indexed row cache): storing the vectors here as well would
+        hold every token twice.  Emits the same ``lookup`` span as
+        :meth:`vectors`, every token counted as a cache miss.
+        """
+        if not tokens:
+            return np.empty((0, self.dim))
+        n = len(tokens)
+        with obs.span(
+            "lookup", n_tokens=n, unique=n, cache_hits=0, cache_misses=n
+        ):
+            return np.stack(self._resolve_batch(tokens))
+
     def _resolve_batch(self, tokens: Sequence[str]) -> list[np.ndarray]:
         batch = getattr(self.model, "batch_vectors", None)
         if batch is not None:
@@ -369,13 +385,13 @@ class TermEmbedder:
         """Stack embeddings for a token sequence -> ``(n, dim)``.
 
         Kept as per-token :meth:`vector` calls — this is the scalar
-        reference path the vectorized plane is benchmarked against.
+        reference path the fused plane is tested and benchmarked against.
         """
         if not tokens:
             return np.empty((0, self.dim))
         texts = [t.text if isinstance(t, Token) else t for t in tokens]
         # repro-lint: disable=scalar-embed-loop - deliberately scalar: the
-        # equivalence/benchmark reference the vectorized plane is tested against.
+        # equivalence/benchmark reference the fused plane is tested against.
         return np.stack([self.vector(t) for t in texts])
 
     def embed_cells(self, cells: Sequence[object]) -> np.ndarray:

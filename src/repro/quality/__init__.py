@@ -7,9 +7,9 @@ This package provides two harnesses:
 
 * :mod:`repro.quality.fuzzer` (``repro fuzz``) — a property-based
   adversarial fuzzer driving seeded mutations of real corpus tables
-  through parse + classify across the scalar, vectorized, and fused
-  planes, hunting crashes, label flips against the unmutated oracle,
-  and plane divergence.  Failures are delta-debugged to minimal
+  through parse + classify on the fused plane and the level-by-level
+  reference, hunting crashes, label flips against the unmutated
+  oracle, and plane divergence.  Failures are delta-debugged to minimal
   reproducers and banked as regression fixtures under
   ``tests/quality/fixtures/``.
 * :mod:`repro.quality.ablate` (``repro ablate``) — a config-driven

@@ -13,10 +13,9 @@ Two knockout kinds keep runs cheap:
 
 * ``fit`` knockouts change how the pipeline *trains* (contrastive
   refinement, bootstrap source, aggregation) and need a refit;
-* ``classify`` knockouts change only the *inference plane* (vectorized,
-  fused, depth caps, CMD detection) and re-score the already-fitted
-  baseline with a reconfigured classifier — the vectorized/fused
-  knockouts double as parity checks: their expected impact is zero.
+* ``classify`` knockouts change only the *decision walk* (depth caps,
+  CMD detection) and re-score the already-fitted baseline with a
+  reconfigured classifier.
 
 All accuracies are raw fractions in [0, 1].
 """
@@ -100,18 +99,6 @@ _register(ComponentSpec(
     kind="fit",
     description="summation aggregation (Def. 8) replaced by the mean",
     knock_fit=_knock_aggregation,
-))
-_register(ComponentSpec(
-    name="vectorized",
-    kind="classify",
-    description="vectorized classify plane off (scalar path; parity check)",
-    knock_classify=lambda c: replace(c, vectorized=False, fused=False),
-))
-_register(ComponentSpec(
-    name="fused",
-    kind="classify",
-    description="fused corpus plane off (per-table path; parity check)",
-    knock_classify=lambda c: replace(c, fused=False),
 ))
 _register(ComponentSpec(
     name="depth",

@@ -94,7 +94,8 @@ def replay_fixture(
     * ``kind="text"`` — the minimized text must parse or be rejected
       with ``ValueError``; no harness needed.
     * ``kind="table"`` — the minimized table must classify without
-      crashing and with all three planes agreeing (needs a harness).
+      crashing and with the fused plane agreeing with the reference
+      (needs a harness).
     * ``kind="roundtrip"`` — the serialized text must parse back to the
       same labels as the original rows (needs a harness).
 

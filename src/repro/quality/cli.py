@@ -25,7 +25,7 @@ def add_fuzz_parser(commands: argparse._SubParsersAction) -> None:
         help="run the adversarial table fuzzer",
         description=(
             "Mutate real corpus tables (seeded, deterministic) and hunt "
-            "parse crashes, scalar/vectorized/fused divergence, and "
+            "parse crashes, fused-vs-reference divergence, and "
             "round-trip label flips. See docs/QUALITY.md."
         ),
     )

@@ -7,14 +7,15 @@ seed and budget produce the identical case sequence and verdicts — on
 one process or sharded across a :class:`~repro.parallel.ShardedPool`.
 
 Each case mutates one real corpus table and pushes the mutant through
-ingestion (text mutants) and classification on **three planes** of the
-same fitted pipeline — scalar, vectorized, and fused — hunting:
+ingestion (text mutants) and classification through the fused plane
+and the level-by-level reference of the same fitted pipeline, hunting:
 
 * **crash** — any exception out of parse or classify (parsers may
   reject malformed text with ``ValueError``; anything else is a
   crash, and for round-trip mutants even ``ValueError`` is);
-* **divergence** — the planes disagree on the mutant's labels (the
-  byte-identical-labels contract of PR 2/7, under adversarial input);
+* **divergence** — the fused plane and the reference disagree on the
+  mutant's labels (the byte-identical-labels contract, under
+  adversarial input);
 * **flip** — a round-trip mutant (``relation="equal"``) classifies
   differently from the unmutated oracle, i.e. an ingestion bug.
 
@@ -26,13 +27,13 @@ fixtures (:mod:`repro.quality.bank`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.classifier import MetadataClassifier
+from repro.core.classifier import MetadataClassifier, reference_classify
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.embeddings.word2vec import Word2VecConfig
 from repro.quality.minimize import minimize_table, minimize_text
@@ -180,56 +181,44 @@ class FuzzReport:
 
 
 # ---------------------------------------------------------------------------
-# the tri-plane harness
+# the differential harness
 # ---------------------------------------------------------------------------
 
 class FuzzHarness:
-    """Scalar/vectorized/fused views of one fitted pipeline.
+    """The fused plane and the level-by-level reference of one pipeline.
 
-    The three classifiers share the fitted embedder, centroids, and
-    projection; only the :class:`~repro.core.classifier.ClassifierConfig`
-    plane toggles differ, so a disagreement is a plane bug, not a
-    training difference.
+    Both read the same fitted embedder, centroids, and projection, so a
+    disagreement is a plane bug, not a training difference.
     """
 
     def __init__(self, pipeline: MetadataPipeline, *, backend: str = "") -> None:
         if pipeline.classifier is None:
             raise ValueError("the fuzz harness needs a fitted pipeline")
-        base = pipeline.classifier
         self.backend = backend or pipeline.config.embedding
         self.pipeline = pipeline
-        self.scalar = self._variant(base, vectorized=False, fused=False)
-        self.vectorized = self._variant(base, vectorized=True, fused=False)
-        self.fused = self._variant(base, vectorized=True, fused=True)
-
-    @staticmethod
-    def _variant(
-        base: MetadataClassifier, *, vectorized: bool, fused: bool
-    ) -> MetadataClassifier:
-        return MetadataClassifier(
-            base.embedder,
-            base.row_centroids,
-            base.col_centroids,
-            projection=base.projection,
-            config=replace(base.config, vectorized=vectorized, fused=fused),
-        )
+        self._classifier = pipeline.classifier
+        #: The plane under test (tests swap in a broken stand-in).
+        self.fused: MetadataClassifier = pipeline.classifier
 
     def oracle(self, table: Table) -> TableAnnotation:
-        """The reference labels for an unmutated table."""
-        return self.vectorized.classify(table)
+        """The production labels for an unmutated table."""
+        return self._classifier.classify(table)
+
+    def reference(self, table: Table) -> TableAnnotation:
+        return reference_classify(self._classifier, table)
 
     def examine(
         self, table: Table
     ) -> tuple[str, str, TableAnnotation | None]:
-        """Classify on all three planes; ``(verdict, detail, labels)``."""
+        """Classify on the fused plane and the reference;
+        ``(verdict, detail, labels)``."""
         results: dict[str, TableAnnotation] = {}
-        for plane in ("scalar", "vectorized", "fused"):
+        for plane in ("fused", "reference"):
             try:
                 if plane == "fused":
-                    annotation = self.fused.classify_corpus([table])[0]
+                    annotation = self.fused.classify(table)
                 else:
-                    classifier: MetadataClassifier = getattr(self, plane)
-                    annotation = classifier.classify(table)
+                    annotation = self.reference(table)
             except Exception as exc:  # noqa: BLE001 - the verdict IS the catch
                 return (
                     "crash",
@@ -238,19 +227,13 @@ class FuzzHarness:
                     None,
                 )
             results[plane] = annotation
-        if results["vectorized"] != results["scalar"]:
+        if results["fused"] != results["reference"]:
             return (
                 "divergence",
-                f"{self.backend}: vectorized labels differ from scalar",
-                results["vectorized"],
+                f"{self.backend}: fused labels differ from the reference",
+                results["reference"],
             )
-        if results["fused"] != results["vectorized"]:
-            return (
-                "divergence",
-                f"{self.backend}: fused labels differ from vectorized",
-                results["vectorized"],
-            )
-        return "ok", "", results["vectorized"]
+        return "ok", "", results["fused"]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ Each mutator also declares its **relation** to the unmutated table:
   the classifier must emit the *same labels* as on the original; any
   difference is a label **flip**, i.e. an ingestion bug.
 * ``"robust"`` — the grid genuinely changed.  No label claim is made;
-  the pipeline must merely not crash, and the scalar/vectorized/fused
-  planes must still agree with each other on the mutant.
+  the pipeline must merely not crash, and the fused plane must still
+  agree with the level-by-level reference on the mutant.
 
 A mutator may return ``None`` when it does not apply to the given
 table (e.g. shuffling metadata rows of a one-row table); the fuzzer

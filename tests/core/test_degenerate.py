@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.classifier import MetadataClassifier
+from repro.core.classifier import MetadataClassifier, reference_classify
 from repro.core.pipeline import (
     HybridClassifier,
     MetadataPipeline,
@@ -59,18 +59,11 @@ class TestDegenerateClassify:
         assert len(result.col_evidence) == table.n_cols
 
     def test_scalar_path_agrees(self, degenerate_fitted, name):
-        from dataclasses import replace
-
         table = DEGENERATE_TABLES[name]
         clf = degenerate_fitted.classifier
-        scalar = MetadataClassifier(
-            clf.embedder,
-            clf.row_centroids,
-            clf.col_centroids,
-            projection=clf.projection,
-            config=replace(clf.config, vectorized=False),
-        )
-        assert clf.classify(table) == scalar.classify(table)
+        reference = reference_classify(clf, table)
+        assert clf.classify(table) == reference
+        assert clf.classify_result(table).annotation == reference
 
     def test_hybrid_router(self, degenerate_fitted, name):
         table = DEGENERATE_TABLES[name]

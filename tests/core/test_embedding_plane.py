@@ -1,32 +1,39 @@
-"""Tests for the vectorized table-embedding plane.
+"""Tests for the level vectors the classify plane builds.
 
-The contract under test: :func:`embed_table` / :func:`level_vectors`
-must reproduce the scalar :mod:`repro.core.aggregate` vectors (up to
-floating-point re-association) for every mode they claim to support,
-fall back to the scalar path for the modes they do not, and never raise
-on degenerate shapes.
+The contract under test: the fused plane's one-table shards
+(:func:`repro.core.fused.level_blocks`) and the fit-side batches
+(:func:`repro.core.embedding_plane.level_vectors`) must reproduce the
+scalar :mod:`repro.core.aggregate` vectors (up to float32 rounding and
+re-association) for every mode they claim to support, fall back to the
+scalar aggregation for the modes they do not, never raise on
+degenerate shapes, and classify exactly like the level-by-level
+reference.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core import fused
 from repro.core.aggregate import (
     AggregationConfig,
     aggregate_cols,
     aggregate_level,
     aggregate_rows,
 )
-from repro.core.classifier import MetadataClassifier
-from repro.core.embedding_plane import (
-    embed_table,
-    level_vectors,
-    supports_fast_path,
-)
+from repro.core.classifier import ClassifierConfig, reference_classify
+from repro.core.embedding_plane import level_vectors
+from repro.core.fused import supports_fast_path
 from repro.embeddings.hashed import HashedEmbedding
 from repro.embeddings.lookup import TermEmbedder
 from repro.tables.model import Table
+from repro.text import tokenize
+
+#: float32 aggregation against the float64 scalar sums.
+ATOL = 1e-4
 
 
 @pytest.fixture
@@ -34,93 +41,99 @@ def embedder() -> TermEmbedder:
     return TermEmbedder(HashedEmbedding(16))
 
 
+def _one_table(embedder, table, config):
+    """``(rows, cols)`` of a one-table shard, as ``classify`` builds them."""
+    stand_in = SimpleNamespace(
+        embedder=embedder,
+        config=ClassifierConfig(aggregation=config),
+        projection=None,
+    )
+    rows, cols, _, _ = fused.level_blocks(stand_in, [table])
+    return rows, cols
+
+
 class TestEmbedTableEquivalence:
     @pytest.mark.parametrize("mode", ["sum", "mean"])
     def test_matches_scalar_path(self, embedder, hierarchical_table, mode):
         config = AggregationConfig(mode=mode)
-        embedded = embed_table(embedder, hierarchical_table, config)
+        rows, cols = _one_table(embedder, hierarchical_table, config)
         np.testing.assert_allclose(
-            embedded.row_vectors,
-            aggregate_rows(embedder, hierarchical_table, config),
-            atol=1e-9,
+            rows, aggregate_rows(embedder, hierarchical_table, config), atol=ATOL
         )
         np.testing.assert_allclose(
-            embedded.col_vectors,
-            aggregate_cols(embedder, hierarchical_table, config),
-            atol=1e-9,
+            cols, aggregate_cols(embedder, hierarchical_table, config), atol=ATOL
         )
 
     def test_matches_on_generated_corpus(self, embedder, ckg_eval):
         config = AggregationConfig()
         for annotated in ckg_eval[:10]:
             table = annotated.table
-            embedded = embed_table(embedder, table, config)
+            rows, cols = _one_table(embedder, table, config)
             np.testing.assert_allclose(
-                embedded.row_vectors,
-                aggregate_rows(embedder, table, config),
-                atol=1e-9,
+                rows, aggregate_rows(embedder, table, config), atol=ATOL
             )
             np.testing.assert_allclose(
-                embedded.col_vectors,
-                aggregate_cols(embedder, table, config),
-                atol=1e-9,
+                cols, aggregate_cols(embedder, table, config), atol=ATOL
             )
 
-    def test_token_accounting(self, embedder, simple_table):
-        embedded = embed_table(embedder, simple_table, AggregationConfig())
-        assert embedded.n_tokens > 0
-        assert 0 < embedded.n_unique_tokens <= embedded.n_tokens
+    def test_token_accounting(self, simple_table):
+        pack = fused.pack_corpus([simple_table])
+        assert pack.n_tokens > 0
+        assert 0 < pack.n_tokens <= pack.occ_toks.size
 
     def test_repeated_cells_share_work(self, embedder):
         table = Table([["x", "x"], ["x", "x"], ["x", "x"]])
-        embedded = embed_table(embedder, table, AggregationConfig())
-        assert embedded.n_unique_tokens == 1
-        assert embedded.n_tokens == 6
+        pack = fused.pack_corpus([table])
+        assert pack.n_cells == 1
+        assert pack.n_tokens == 1
+        assert pack.grid_cells.size == 6
+        rows, _ = _one_table(embedder, table, AggregationConfig())
         np.testing.assert_allclose(
-            embedded.row_vectors,
-            aggregate_rows(embedder, table, AggregationConfig()),
+            rows, aggregate_rows(embedder, table, AggregationConfig()), atol=ATOL
         )
 
 
 class TestDegenerateShapes:
     def test_zero_column_table(self, embedder):
-        embedded = embed_table(embedder, Table([[], []]), AggregationConfig())
-        assert embedded.row_vectors.shape == (2, 16)
-        assert embedded.col_vectors.shape == (0, 16)
-        assert np.all(embedded.row_vectors == 0)
+        rows, cols = _one_table(embedder, Table([[], []]), AggregationConfig())
+        assert rows.shape == (2, 16)
+        assert cols.shape == (0, 16)
+        assert np.all(rows == 0)
 
     def test_empty_table(self, embedder):
-        embedded = embed_table(embedder, Table([]), AggregationConfig())
-        assert embedded.row_vectors.shape == (0, 16)
-        assert embedded.col_vectors.shape == (0, 16)
+        rows, cols = _one_table(embedder, Table([]), AggregationConfig())
+        assert rows.shape == (0, 16)
+        assert cols.shape == (0, 16)
 
     def test_all_blank_grid(self, embedder):
         table = Table([["", ""], ["", ""]])
-        embedded = embed_table(embedder, table, AggregationConfig())
-        assert np.all(embedded.row_vectors == 0)
-        assert np.all(embedded.col_vectors == 0)
-        assert embedded.n_tokens == 0
+        rows, cols = _one_table(embedder, table, AggregationConfig())
+        assert np.all(rows == 0)
+        assert np.all(cols == 0)
+        assert fused.pack_corpus([table]).n_tokens == 0
 
     def test_partially_blank_mean_mode(self, embedder):
         # A blank row must stay zero in mean mode (no divide-by-zero).
         table = Table([["alpha", "beta"], ["", ""]])
         config = AggregationConfig(mode="mean")
-        embedded = embed_table(embedder, table, config)
+        rows, _ = _one_table(embedder, table, config)
         np.testing.assert_allclose(
-            embedded.row_vectors, aggregate_rows(embedder, table, config)
+            rows, aggregate_rows(embedder, table, config), atol=ATOL
         )
-        assert np.all(embedded.row_vectors[1] == 0)
-        assert np.all(np.isfinite(embedded.row_vectors))
+        assert np.all(rows[1] == 0)
+        assert np.all(np.isfinite(rows))
 
 
 class TestFallbacks:
     def test_concat_mode_falls_back(self, embedder, simple_table):
         config = AggregationConfig(mode="concat", concat_terms=4)
         assert not supports_fast_path(embedder, config)
-        embedded = embed_table(embedder, simple_table, config)
-        assert embedded.n_tokens == -1  # marker: scalar path was used
+        rows, cols = _one_table(embedder, simple_table, config)
         np.testing.assert_allclose(
-            embedded.row_vectors, aggregate_rows(embedder, simple_table, config)
+            rows, aggregate_rows(embedder, simple_table, config)
+        )
+        np.testing.assert_allclose(
+            cols, aggregate_cols(embedder, simple_table, config)
         )
 
     def test_contextual_falls_back_only_with_encoder(self, embedder):
@@ -161,29 +174,15 @@ class TestLevelVectors:
 
 class TestClassifierEquivalence:
     def test_identical_annotations_on_corpus(self, hashed_pipeline, ckg_eval):
-        """The acceptance bar: byte-identical TableAnnotations between the
-        vectorized classifier and the scalar seed path."""
-        from dataclasses import replace
-
+        """The acceptance bar: byte-identical TableAnnotations between
+        the fused plane (labels-only and evidence calls) and the
+        level-by-level reference."""
         clf = hashed_pipeline.classifier
-        scalar = MetadataClassifier(
-            clf.embedder,
-            clf.row_centroids,
-            clf.col_centroids,
-            projection=clf.projection,
-            config=replace(clf.config, vectorized=False),
-        )
-        fast = MetadataClassifier(
-            clf.embedder,
-            clf.row_centroids,
-            clf.col_centroids,
-            projection=clf.projection,
-            config=replace(clf.config, vectorized=True),
-        )
         for annotated in ckg_eval:
-            assert fast.classify(annotated.table) == scalar.classify(
-                annotated.table
-            )
+            table = annotated.table
+            reference = reference_classify(clf, table)
+            assert clf.classify(table) == reference
+            assert clf.classify_result(table).annotation == reference
 
     def test_classify_result_keeps_evidence(self, hashed_pipeline, ckg_eval):
         result = hashed_pipeline.classifier.classify_result(ckg_eval[0].table)
@@ -197,10 +196,10 @@ class TestClassifierEquivalence:
 
 
 class TestTokenMemoKeying:
-    """Regression: the ``_cell_token_texts`` memo is keyed by the
-    tokenizer fingerprint (``lowercase``), not the cell text alone —
-    two pipelines with different casing configs in one process must not
-    serve each other stale token lists."""
+    """Regression: the per-cell token-id memo (``_cell_token_ids``) is
+    keyed by the tokenizer fingerprint (``lowercase``), not the cell
+    text alone — two pipelines with different casing configs in one
+    process must not serve each other stale tokens."""
 
     def test_two_lowercase_configs_in_one_process(self, embedder):
         table = Table(
@@ -213,20 +212,25 @@ class TestTokenMemoKeying:
         # Interleave the two configs so a mis-keyed memo would serve
         # the first config's tokens to the second.
         for config in (lowered, preserved, lowered, preserved):
-            embedded = embed_table(embedder, table, config)
+            for cell in table.rows[0]:
+                assert fused.cell_token_texts(cell, config.lowercase) == [
+                    t.text for t in tokenize(cell, lowercase=config.lowercase)
+                ]
+            rows, cols = _one_table(embedder, table, config)
             np.testing.assert_allclose(
-                embedded.row_vectors,
-                aggregate_rows(embedder, table, config),
-                atol=1e-9,
+                rows, aggregate_rows(embedder, table, config), atol=ATOL
             )
             np.testing.assert_allclose(
-                embedded.col_vectors,
-                aggregate_cols(embedder, table, config),
+                cols, aggregate_cols(embedder, table, config), atol=ATOL
+            )
+            np.testing.assert_allclose(
+                level_vectors(embedder, table.rows, config),
+                aggregate_rows(embedder, table, config),
                 atol=1e-9,
             )
         # Hashed vectors are case-sensitive, so the configs genuinely
         # disagree — the equality above is not vacuous.
         assert not np.allclose(
-            embed_table(embedder, table, lowered).row_vectors,
-            embed_table(embedder, table, preserved).row_vectors,
+            _one_table(embedder, table, lowered)[0],
+            _one_table(embedder, table, preserved)[0],
         )

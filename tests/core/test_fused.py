@@ -1,32 +1,30 @@
-"""Fused corpus-classification tests (:mod:`repro.core.fused`).
+"""Fused classification tests (:mod:`repro.core.fused`).
 
 The contract: for every embedding backend and every table — including
-the degenerate shapes — ``classify_corpus`` through the fused plane
-must produce labels *byte-identical* to the per-table vectorized path
-and to the scalar path; int8-quantized token matrices stay within a
-documented tolerance of the float32 aggregates.  The pack/aggregate
-internals get their own unit tests (offset bookkeeping, segment sums,
-fragment memoization, local-vocabulary fallback).
+the degenerate shapes — ``classify``, ``classify_result`` and
+``classify_corpus`` must produce labels *byte-identical* to the
+level-by-level reference (:func:`repro.core.classifier.reference_classify`);
+a store packed ``q8`` stays within a documented tolerance of the
+float32 aggregates.  The pack/aggregate internals get their own unit
+tests (offset bookkeeping, segment sums, fragment memoization,
+local-vocabulary fallback, one stored copy per token vector).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core import fused
 from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
-from repro.core.classifier import ClassifierConfig, MetadataClassifier
+from repro.core.classifier import MetadataClassifier, reference_classify
 from repro.core.fused import (
-    CorpusPack,
     _indexed_segment_sum,
-    classify_corpus,
     fused_level_matrices,
     pack_corpus,
     token_matrix,
 )
+from repro.core.persistence import load_pipeline, save_pipeline_dir
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.embeddings.contextual import ContextualConfig
 from repro.embeddings.hashed import HashedEmbedding
@@ -82,34 +80,21 @@ def corpus(ckg_eval) -> list[Table]:
     return tables
 
 
-def _variant(
-    classifier: MetadataClassifier, **overrides
-) -> MetadataClassifier:
-    """The same fitted classifier under a tweaked config."""
-    config = dataclasses.replace(classifier.config, **overrides)
-    return MetadataClassifier(
-        classifier.embedder,
-        classifier.row_centroids,
-        classifier.col_centroids,
-        projection=classifier.projection,
-        config=config,
-    )
-
-
 class TestEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_labels_identical_across_paths(
         self, backend_pipelines, corpus, backend
     ):
         base = backend_pipelines[backend].classifier
-        fused_clf = _variant(base, fused=True, vectorized=True)
-        vectorized = _variant(base, fused=False, vectorized=True)
-        scalar = _variant(base, fused=False, vectorized=False)
-        batched = classify_corpus(fused_clf, corpus)
+        batched = base.classify_corpus(corpus)
         assert len(batched) == len(corpus)
         for table, annotation in zip(corpus, batched):
-            assert annotation == vectorized.classify(table), table.name
-            assert annotation == scalar.classify(table), table.name
+            reference = reference_classify(base, table)
+            assert annotation == reference, table.name
+            assert base.classify(table) == reference, table.name
+            assert base.classify_result(table).annotation == reference, (
+                table.name
+            )
 
     def test_classify_result_annotations_agree(
         self, backend_pipelines, corpus
@@ -117,17 +102,10 @@ class TestEquivalence:
         # classify_result is the evidence-bearing per-table entry point;
         # its annotation must be the one the fused batch hands back.
         base = backend_pipelines["hashed"].classifier
-        batched = classify_corpus(_variant(base, fused=True), corpus)
+        batched = base.classify_corpus(corpus)
         for table, annotation in zip(corpus, batched):
             result = base.classify_result(table)
             assert annotation == result.annotation, table.name
-
-    def test_float64_mode_identical(self, backend_pipelines, corpus):
-        base = backend_pipelines["hashed"].classifier
-        f64 = _variant(base, fused=True, fused_dtype="float64")
-        vectorized = _variant(base, fused=False)
-        for table, annotation in zip(corpus, classify_corpus(f64, corpus)):
-            assert annotation == vectorized.classify(table), table.name
 
     def test_pipeline_classify_corpus_matches_classify(
         self, backend_pipelines, corpus
@@ -139,42 +117,127 @@ class TestEquivalence:
 
     def test_empty_corpus(self, backend_pipelines):
         base = backend_pipelines["hashed"].classifier
-        assert classify_corpus(_variant(base, fused=True), []) == []
+        assert base.classify_corpus([]) == []
 
-    def test_fused_false_falls_back(self, backend_pipelines, corpus):
-        pipeline = backend_pipelines["hashed"]
-        base = pipeline.classifier
-        off = _variant(base, fused=False)
-        assert off.classify_corpus(corpus) == classify_corpus(
-            _variant(base, fused=True), corpus
+    def test_concat_mode_joins_the_walk(self, ckg_train, corpus):
+        # concat cannot be packed: its level blocks come from
+        # repro.core.aggregate, then the same batched walk runs.
+        config = PipelineConfig(
+            embedding="hashed", hashed_dim=16, n_pairs=50,
+            use_contrastive=False,
+            aggregation=AggregationConfig(mode="concat", concat_terms=4),
         )
+        base = MetadataPipeline(config).fit(list(ckg_train[:16])).classifier
+        batched = base.classify_corpus(corpus)
+        for table, annotation in zip(corpus, batched):
+            assert annotation == reference_classify(base, table), table.name
+
+
+@pytest.fixture(scope="module")
+def q8_pipelines(backend_pipelines, tmp_path_factory):
+    """The word2vec pipeline and its reload from a store packed ``q8``."""
+    exact = backend_pipelines["word2vec"]
+    store = save_pipeline_dir(
+        exact, tmp_path_factory.mktemp("q8") / "model", pack="q8"
+    )
+    quantized = load_pipeline(store)
+    assert quantized.embedder.packed.kind == "q8"
+    return exact, quantized
 
 
 class TestQuantized:
-    """int8 token matrices: per-row scales bound the error to half a
-    quantization step per element (``max|row| / 254``), so aggregates
-    stay within ~1% relative error of float32 — the documented
-    tolerance (SCALING.md)."""
+    """int8 token matrices from a ``q8`` packed store: per-row scales
+    bound the error to half a quantization step per element
+    (``max|row| / 254``), so aggregates stay within ~1% relative error
+    of float32 — the documented tolerance (SCALING.md)."""
 
-    def test_matrices_within_tolerance(self, backend_pipelines, corpus):
-        embedder = backend_pipelines["hashed"].embedder
+    def test_matrices_within_tolerance(self, q8_pipelines, corpus):
+        exact, quantized = q8_pipelines
         pack = pack_corpus(corpus)
-        rows, cols = fused_level_matrices(embedder, pack)
-        q_rows, q_cols = fused_level_matrices(embedder, pack, quantize=True)
-        for exact, quantized in ((rows, q_rows), (cols, q_cols)):
-            scale = np.abs(exact).max() or 1.0
+        rows, cols = fused_level_matrices(exact.embedder, pack)
+        q_rows, q_cols = fused_level_matrices(quantized.embedder, pack)
+        for exact_block, quantized_block in ((rows, q_rows), (cols, q_cols)):
+            scale = np.abs(exact_block).max() or 1.0
             np.testing.assert_allclose(
-                quantized, exact, atol=0.01 * scale, rtol=0.05
+                quantized_block, exact_block, atol=0.01 * scale, rtol=0.05
             )
 
-    def test_quantized_labels_mostly_agree(self, backend_pipelines, corpus):
-        base = backend_pipelines["hashed"].classifier
-        exact = classify_corpus(_variant(base, fused=True), corpus)
-        quantized = classify_corpus(
-            _variant(base, fused=True, fused_quantize=True), corpus
+    def test_quantized_labels_mostly_agree(self, q8_pipelines, corpus):
+        exact, quantized = q8_pipelines
+        agree = sum(
+            a == b
+            for a, b in zip(
+                exact.classify_corpus(corpus), quantized.classify_corpus(corpus)
+            )
         )
-        agree = sum(a == b for a, b in zip(exact, quantized))
         assert agree >= int(0.9 * len(corpus))
+
+
+class TestTokenStorage:
+    def test_concurrent_misses_fill_the_row_cache_once(
+        self, backend_pipelines, corpus
+    ):
+        """Eight threads race one cold row cache (misses resolve outside
+        its lock): every thread gets the serial labels."""
+        import sys
+        import threading
+
+        base = backend_pipelines["hashed"].classifier
+        expected = [base.classify(t) for t in corpus]
+        shared = MetadataClassifier(
+            TermEmbedder(base.embedder.model),
+            base.row_centroids,
+            base.col_centroids,
+            projection=base.projection,
+            config=base.config,
+        )
+        results: list[list] = [[] for _ in range(8)]
+        barrier = threading.Barrier(8)
+
+        def worker(slot: int) -> None:
+            barrier.wait(timeout=30)
+            for k in range(len(corpus)):
+                table = corpus[(k + slot) % len(corpus)]
+                results[slot].append((table, shared.classify(table)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,)) for slot in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        by_table = dict(zip(map(id, corpus), expected))
+        for slot in results:
+            assert len(slot) == len(corpus)
+            for table, annotation in slot:
+                assert annotation == by_table[id(table)], table.name
+
+    def test_classify_stores_each_token_vector_once(
+        self, backend_pipelines, corpus
+    ):
+        """The row cache holds the shard's token vectors; the embedder's
+        own LRU stays empty instead of holding a second copy."""
+        base = backend_pipelines["hashed"].classifier
+        embedder = TermEmbedder(base.embedder.model)
+        classifier = MetadataClassifier(
+            embedder,
+            base.row_centroids,
+            base.col_centroids,
+            projection=base.projection,
+            config=base.config,
+        )
+        assert classifier.classify_corpus(corpus) == base.classify_corpus(corpus)
+        pack = pack_corpus(corpus)
+        rows = fused._row_cache(embedder)
+        assert int(rows._known.sum()) == pack.n_tokens > 0
+        assert embedder.cache_info().size == 0
 
 
 class TestPack:

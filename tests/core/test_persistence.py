@@ -245,3 +245,80 @@ class TestDirectoryStoreCorruption:
         victim.write_bytes(b"\x93NUMPY junk")
         with pytest.raises(PersistenceError):
             load_pipeline_dir(store)
+
+
+#: The classifier keys stores saved before the classify planes merged
+#: carry, with the values a default config wrote.
+RETIRED_CLASSIFIER_KEYS = {
+    "vectorized": True,
+    "fused": True,
+    "fused_dtype": "float32",
+    "fused_quantize": False,
+}
+
+
+def _edit_npz_state(path, edit):
+    import json
+
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "__state__"}
+        state = json.loads(bytes(data["__state__"]).decode())
+    edit(state)
+    np.savez(
+        path,
+        __state__=np.frombuffer(json.dumps(state).encode(), dtype=np.uint8),
+        **arrays,
+    )
+
+
+def _edit_dir_state(path, edit):
+    import json
+
+    state_file = path / "state.json"
+    state = json.loads(state_file.read_text())
+    edit(state)
+    state_file.write_text(json.dumps(state))
+
+
+@pytest.fixture(params=["npz", "dir"])
+def store_form(request, hashed_pipeline, tmp_path):
+    """``(path, edit_state)`` for a fresh store in each on-disk form."""
+    from repro.core.persistence import save_pipeline_dir
+
+    if request.param == "npz":
+        return save_pipeline(hashed_pipeline, tmp_path / "m"), _edit_npz_state
+    return save_pipeline_dir(hashed_pipeline, tmp_path / "m"), _edit_dir_state
+
+
+class TestConfigKeys:
+    def test_new_stores_omit_retired_keys(self, store_form):
+        import json
+
+        path, _ = store_form
+        if path.is_dir():
+            state = json.loads((path / "state.json").read_text())
+        else:
+            with np.load(path) as data:
+                state = json.loads(bytes(data["__state__"]).decode())
+        assert not set(RETIRED_CLASSIFIER_KEYS) & set(state["classifier"])
+
+    def test_store_with_retired_keys_loads(
+        self, store_form, hashed_pipeline, ckg_eval
+    ):
+        path, edit = store_form
+        edit(path, lambda state: state["classifier"].update(RETIRED_CLASSIFIER_KEYS))
+        loaded = load_pipeline(path)
+        assert loaded.classifier.config == hashed_pipeline.classifier.config
+        _assert_same_predictions(hashed_pipeline, loaded, ckg_eval)
+
+    def test_unknown_classifier_key_raises(self, store_form):
+        path, edit = store_form
+        edit(path, lambda state: state["classifier"].update(beam_width=4))
+        with pytest.raises(PersistenceError, match="beam_width"):
+            load_pipeline(path)
+
+    def test_unknown_aggregation_key_raises(self, store_form):
+        path, edit = store_form
+        edit(path, lambda state: state["aggregation"].update(stemming=True))
+        with pytest.raises(PersistenceError, match="stemming"):
+            load_pipeline(path)

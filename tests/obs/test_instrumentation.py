@@ -17,20 +17,34 @@ def _span_tree(spans):
     return by_id, parents
 
 
+def _fresh_table(tag: str):
+    """A table whose tokens no other test has classified, so the row
+    cache misses and the classify call resolves them under ``lookup``."""
+    from repro.tables.model import Table
+
+    return Table(
+        [[f"{tag}probe{i}{j}" for j in range(3)] for i in range(4)],
+        name=f"{tag}-fresh",
+    )
+
+
 class TestClassifyInstrumentation:
-    def test_classify_root_nests_pipeline_stages(self, hashed_pipeline, ckg_eval):
-        table = ckg_eval[0].table
+    def test_classify_root_nests_pipeline_stages(self, hashed_pipeline):
+        table = _fresh_table("nest")
         with obs.tracing() as tracer:
             hashed_pipeline.classify(table)
         spans = tracer.spans()
         names = {s.name for s in spans}
-        assert {"classify", "embed", "tokenize", "aggregate", "lookup"} <= names
+        assert {
+            "classify", "fused.intern", "fused.pack", "fused.aggregate",
+            "lookup", "fused.walk",
+        } <= names
         _, parents = _span_tree(spans)
-        assert parents["embed"] == {"classify"}
-        assert parents["tokenize"] == {"embed"}
-        assert parents["aggregate"] == {"embed"}
-        assert parents["lookup"] == {"embed"}
-        assert parents["angle_walk"] == {"classify"}
+        assert parents["fused.intern"] == {"classify"}
+        assert parents["fused.pack"] == {"classify"}
+        assert parents["fused.aggregate"] == {"classify"}
+        assert parents["lookup"] == {"fused.aggregate"}
+        assert parents["fused.walk"] == {"classify"}
         assert parents["classify"] == {None}
         # one trace for the whole classify call
         assert len({s.trace_id for s in spans}) == 1
@@ -39,42 +53,48 @@ class TestClassifyInstrumentation:
         table = ckg_eval[0].table
         with obs.tracing() as tracer:
             hashed_pipeline.classify(table)
-        root = next(s for s in tracer.spans() if s.name == "classify")
-        assert root.attributes["table"] == table.name
-        assert root.attributes["rows"] == table.n_rows
-        assert root.attributes["cols"] == table.n_cols
-        embed = next(s for s in tracer.spans() if s.name == "embed")
-        assert embed.attributes["tokens"] > 0
-        assert embed.attributes["unique_tokens"] > 0
+        spans = tracer.spans()
+        root = next(s for s in spans if s.name == "classify")
+        assert root.attributes["n_tables"] == 1
+        assert root.attributes["fused"] is True
+        pack = next(s for s in spans if s.name == "fused.pack")
+        assert pack.attributes["cells"] > 0
+        assert pack.attributes["tokens"] > 0
+        aggregate = next(s for s in spans if s.name == "fused.aggregate")
+        assert 0 < aggregate.attributes["tokens"] <= pack.attributes["tokens"]
 
-    def test_lookup_span_counts_cache_hits(self, hashed_pipeline, ckg_eval):
-        table = ckg_eval[0].table
-        hashed_pipeline.classify(table)  # warm the token cache
+    def test_lookup_span_counts_cache_hits(self, hashed_pipeline):
+        table = _fresh_table("lookup")
         with obs.tracing() as tracer:
             hashed_pipeline.classify(table)
         lookup = next(s for s in tracer.spans() if s.name == "lookup")
         attrs = lookup.attributes
-        assert attrs["n_tokens"] >= attrs["unique"] > 0
-        assert attrs["cache_hits"] + attrs["cache_misses"] == attrs["unique"]
-        assert attrs["cache_hits"] > 0  # second pass hits the warm cache
-
-    def test_scalar_path_emits_aggregate_span(self, hashed_pipeline, ckg_eval):
-        from dataclasses import replace
-
-        from repro.core.classifier import MetadataClassifier
-
-        clf = hashed_pipeline.classifier
-        scalar = MetadataClassifier(
-            clf.embedder,
-            clf.row_centroids,
-            clf.col_centroids,
-            projection=clf.projection,
-            config=replace(clf.config, vectorized=False),
-        )
+        # The row cache only resolves what it lacks: every token is a miss.
+        assert attrs["n_tokens"] == attrs["unique"] > 0
+        assert attrs["cache_hits"] == 0
+        assert attrs["cache_misses"] == attrs["unique"]
         with obs.tracing() as tracer:
-            scalar.classify(ckg_eval[0].table)
+            hashed_pipeline.classify(table)  # the row cache is warm now
+        assert "lookup" not in {s.name for s in tracer.spans()}
+
+    def test_scalar_path_emits_aggregate_span(self, ckg_train):
+        # concat aggregation cannot be packed: it builds its level
+        # blocks with repro.core.aggregate under one "aggregate" span.
+        from repro.core.aggregate import AggregationConfig
+        from repro.core.pipeline import MetadataPipeline, PipelineConfig
+
+        config = PipelineConfig(
+            embedding="hashed", hashed_dim=16, n_pairs=40,
+            use_contrastive=False,
+            aggregation=AggregationConfig(mode="concat", concat_terms=4),
+        )
+        pipeline = MetadataPipeline(config).fit(ckg_train[:10])
+        with obs.tracing() as tracer:
+            pipeline.classify(ckg_train[0].table)
         _, parents = _span_tree(tracer.spans())
         assert parents["aggregate"] == {"classify"}
+        assert parents["fused.walk"] == {"classify"}
+        assert "fused.pack" not in parents
 
 
 class TestFitInstrumentation:

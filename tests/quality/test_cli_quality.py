@@ -60,7 +60,8 @@ def test_ablate_list_components(capsys):
     assert main(["ablate", "--list-components"]) == 0
     out = capsys.readouterr().out
     assert "contrastive" in out
-    assert "fused" in out
+    assert "cmd-detect" in out
+    assert "vectorized" not in out
 
 
 def test_ablate_config_and_quick_conflict(capsys):

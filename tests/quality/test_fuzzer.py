@@ -59,16 +59,12 @@ class _Raises:
     def classify(self, table):
         raise RuntimeError("injected classify crash")
 
-    def classify_corpus(self, tables):
-        raise RuntimeError("injected corpus crash")
-
 
 class _Disagrees:
-    def classify_corpus(self, tables):
-        return [
-            TableAnnotation.from_depths(t.n_rows, t.n_cols, hmd_depth=0)
-            for t in tables
-        ]
+    def classify(self, table):
+        return TableAnnotation.from_depths(
+            table.n_rows, table.n_cols, hmd_depth=0
+        )
 
 
 def _cloned(harness: FuzzHarness) -> FuzzHarness:
@@ -78,7 +74,7 @@ def _cloned(harness: FuzzHarness) -> FuzzHarness:
 def test_examine_reports_injected_crash(harness):
     table = campaign_tables(FuzzConfig(seed=9, n_tables=4))[0]
     broken = _cloned(harness)
-    broken.scalar = _Raises()
+    broken.fused = _Raises()
     verdict, detail, annotation = broken.examine(table)
     assert verdict == "crash"
     assert "injected classify crash" in detail
@@ -92,7 +88,7 @@ def test_examine_reports_injected_divergence(harness):
     broken = _cloned(harness)
     broken.fused = _Disagrees()
     verdict, detail, _ = broken.examine(table)
-    fused_labels = _Disagrees().classify_corpus([table])[0]
+    fused_labels = _Disagrees().classify(table)
     if fused_labels == reference:
         assert verdict == "ok"
     else:

@@ -247,7 +247,7 @@ class TestTrace:
         document = json.loads(out.read_text())
         events = document["traceEvents"]
         names = {e["name"] for e in events if e["ph"] == "B"}
-        assert {"table", "classify", "embed", "tokenize"} <= names
+        assert {"table", "classify", "fused.pack", "fused.walk"} <= names
         assert sum(1 for e in events if e["ph"] == "B") == sum(
             1 for e in events if e["ph"] == "E"
         )

@@ -25,15 +25,6 @@ Measures three numbers on the current tree:
 * **model cold-load ms** — best-of-three :func:`load_pipeline` wall
   time for the directory store vs the ``.npz`` archive of the same
   model, the number the zero-copy store exists to shrink;
-* **fleet tables/sec** — the same 120 tables through
-  :class:`~repro.fleet.FleetRouter` (``repro serve --fleet``) with as
-  many worker processes as the machine allows (capped at 4),
-  steady-state — the socket hop plus per-worker dispatch overhead on
-  top of raw classification;
-* **shed rate under overload** — fraction of 200 rapid-fire submits a
-  deliberately tiny fleet (1 worker, queue depth 2) rejects with a
-  fast 503 instead of queueing unboundedly; tracked so admission
-  control stays a fast path and keeps actually shedding;
 * **streaming tables/sec** — the same 120 tables through the pipelined
   streaming plane (:func:`repro.connectors.pipelined.run_streaming`,
   ``repro batch``'s default path), best of three; on machines with at
@@ -46,8 +37,7 @@ Measures three numbers on the current tree:
 
 One JSON entry ``{commit, date, classify_tables_per_sec,
 fused_tables_per_sec, fused_speedup, serve_batch_speedup, p95_seconds,
-batch_procs_tables_per_sec, model_cold_load_ms, fleet_tables_per_sec,
-shed_rate_under_overload, streaming_tables_per_sec,
+batch_procs_tables_per_sec, model_cold_load_ms, streaming_tables_per_sec,
 streaming_peak_rss_mb}`` is appended to the trajectory file
 (default ``BENCH_trajectory.json``, uploaded as a CI artifact) so the
 perf history of the project is a machine-readable series.
@@ -221,7 +211,6 @@ def measure(verbose: bool = True) -> dict:
     p95 = quantile(latencies, 0.95) if latencies else 0.0
 
     procs_tables_per_sec, cold_load_ms = _measure_parallel(pipeline, tables)
-    fleet_tables_per_sec, shed_rate = _measure_fleet(pipeline, tables)
     streaming_tables_per_sec, streaming_peak_mb, streaming_speedup = (
         _measure_streaming(pipeline, tables)
     )
@@ -236,8 +225,6 @@ def measure(verbose: bool = True) -> dict:
         "p95_seconds": round(p95, 6),
         "batch_procs_tables_per_sec": round(procs_tables_per_sec, 2),
         "model_cold_load_ms": cold_load_ms,
-        "fleet_tables_per_sec": round(fleet_tables_per_sec, 2),
-        "shed_rate_under_overload": round(shed_rate, 3),
         "streaming_tables_per_sec": round(streaming_tables_per_sec, 2),
         "streaming_peak_rss_mb": round(streaming_peak_mb, 2),
     }
@@ -257,8 +244,6 @@ def measure(verbose: bool = True) -> dict:
             f"(ShardedPool)\n"
             f"cold load: dir {cold_load_ms['dir']:.1f}ms, "
             f"npz {cold_load_ms['npz']:.1f}ms\n"
-            f"fleet:    {fleet_tables_per_sec:.1f} tables/sec, "
-            f"shed rate {shed_rate:.0%} under overload\n"
             f"stream:   {streaming_tables_per_sec:.1f} tables/sec"
             + (
                 f" ({streaming_speedup:.2f}x vs sequential)"
@@ -316,56 +301,6 @@ def _measure_parallel(pipeline, tables) -> tuple[float, dict]:
 
         cold_load_ms = {"dir": _cold_ms(store), "npz": _cold_ms(npz)}
     return procs_tables_per_sec, cold_load_ms
-
-
-def _measure_fleet(pipeline, tables) -> tuple[float, float]:
-    """(fleet tables/sec steady-state, shed rate under overload)."""
-    from repro.core.persistence import save_pipeline_dir
-    from repro.fleet import FleetConfig, FleetRouter
-    from repro.parallel import cpu_worker_default
-    from repro.serve.batching import ServiceOverloaded
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = save_pipeline_dir(pipeline, Path(tmp) / "model")
-
-        # Steady-state throughput: ample queues, no shedding.
-        config = FleetConfig(
-            workers=cpu_worker_default(ceiling=4),
-            queue_depth=4 * len(tables),
-            deadline=600.0,
-            spawn_timeout=120.0,
-        )
-        with FleetRouter({"bench": store}, config=config) as fleet:
-            for future in [
-                fleet.submit(("bench", t, None)) for t in tables
-            ]:
-                future.result(timeout=300)  # warm worker imports + pages
-            start = time.perf_counter()
-            futures = [fleet.submit(("bench", t, None)) for t in tables]
-            for future in futures:
-                future.result(timeout=300)
-            elapsed = time.perf_counter() - start
-        fleet_tables_per_sec = len(tables) / elapsed
-
-        # Overload: a 1-worker, depth-2 fleet flooded with 200 rapid
-        # submits — admission control must reject most of them fast.
-        config = FleetConfig(
-            workers=1, queue_depth=2, deadline=30.0, spawn_timeout=120.0
-        )
-        attempts = 200
-        shed = 0
-        accepted = []
-        with FleetRouter({"bench": store}, config=config) as fleet:
-            for i in range(attempts):
-                try:
-                    accepted.append(
-                        fleet.submit(("bench", tables[i % len(tables)], None))
-                    )
-                except ServiceOverloaded:
-                    shed += 1
-            for future in accepted:
-                future.result(timeout=300)
-    return fleet_tables_per_sec, shed / attempts
 
 
 def _measure_streaming(pipeline, tables) -> tuple[float, float, float | None]:

@@ -8,8 +8,8 @@ own analyzer, in two layers: per-file AST rules (``repro lint``), and
 whole-program passes (``repro analyze`` / ``lint --deep``) that build
 one :class:`ProgramModel` — classes, functions, import tables, and a
 deliberately under-approximate call graph — over the entire file set
-and chase locks, pickled values, mmap taint, and wire fields across
-function and file boundaries.
+and chase locks, pickled values, and mmap taint across function and
+file boundaries.
 
 Rule families
 -------------
@@ -34,9 +34,7 @@ Whole-program passes
 * ``spawn-unsafe-arg`` — pickle safety for every value shipped across a
   ``Process``/``ProcessPoolExecutor`` spawn boundary;
 * ``mmap-write`` — in-place mutation of arrays data-flowing from
-  ``mmap_mode`` loads or ``# mmap-backed`` annotations;
-* ``wire-asymmetry`` — router/worker wire-schema conformance for the
-  fleet protocol.
+  ``mmap_mode`` loads or ``# mmap-backed`` annotations.
 
 Findings can be silenced three ways: fix the code, add an inline
 ``# repro-lint: disable=RULE`` suppression with a rationale, or
@@ -68,7 +66,6 @@ from repro.analysis import rules as _rules  # noqa: F401  (import side effect)
 from repro.analysis import locks as _locks  # noqa: F401  (import side effect)
 from repro.analysis import mmaps as _mmaps  # noqa: F401  (import side effect)
 from repro.analysis import spawn as _spawn  # noqa: F401  (import side effect)
-from repro.analysis import wire as _wire  # noqa: F401  (import side effect)
 
 __all__ = [
     "Baseline",

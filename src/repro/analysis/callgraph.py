@@ -2,12 +2,12 @@
 
 The per-file rules in :mod:`repro.analysis.rules` see one parsed file at
 a time, which is exactly the wrong shape for the bugs that have actually
-hurt this codebase — the serve submit/collector deadlock and the fleet
+hurt this codebase — the serve submit/collector deadlock and a worker
 respawn-vs-unlink race both spanned *functions*.  The
 :class:`ProgramModel` built here parses every file once, indexes every
 class and function under its dotted qualname, and resolves call sites
 well enough for the interprocedural passes (lock order, spawn safety,
-mmap taint, wire conformance) to chase a value or a lock across
+mmap taint) to chase a value or a lock across
 function boundaries.
 
 Resolution is deliberately heuristic and *under*-approximate: a call we

@@ -5,8 +5,8 @@ subparsers; everything analysis-specific (flags, exit codes, reporters)
 lives here.
 
 ``lint`` runs the per-file rules; ``analyze`` runs the whole-program
-passes (call graph, lock order, spawn safety, mmap writes, wire
-schema); ``lint --deep`` runs both over one parse of the tree.
+passes (call graph, lock order, spawn safety, mmap writes);
+``lint --deep`` runs both over one parse of the tree.
 
 Exit codes: 0 clean (modulo baseline/suppressions), 1 findings (or
 stale baseline entries under ``--check-stale``), 2 usage or I/O error.
@@ -93,8 +93,7 @@ def add_lint_parser(commands: argparse._SubParsersAction) -> None:
     lint.add_argument(
         "--deep", action="store_true",
         help="also build the whole-program model and run the analyze "
-             "passes (lock order, spawn safety, mmap writes, wire "
-             "schema)",
+             "passes (lock order, spawn safety, mmap writes)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -110,9 +109,8 @@ def add_analyze_parser(commands: argparse._SubParsersAction) -> None:
         description=(
             "Builds an intra-package call graph over the given paths "
             "and runs the whole-program passes: lock-order deadlock "
-            "detection, spawn-boundary pickle safety, mmap write "
-            "safety, and router/worker wire-schema conformance. See "
-            "docs/LINTING.md."
+            "detection, spawn-boundary pickle safety, and mmap write "
+            "safety. See docs/LINTING.md."
         ),
     )
     _add_shared_arguments(analyze)

@@ -2,9 +2,8 @@
 
 The per-file :class:`~repro.analysis.registry.Rule` sees one parsed
 file; a :class:`ProgramPass` sees the :class:`~repro.analysis.callgraph.
-ProgramModel` built from *every* analyzed file, so it can follow a lock,
-a pickled value, or a wire field across function and process
-boundaries.  Passes self-register at import time exactly like rules —
+ProgramModel` built from *every* analyzed file, so it can follow a lock
+or a pickled value across function and process boundaries.  Passes self-register at import time exactly like rules —
 write a check function, decorate it, import the module from
 ``repro.analysis``.
 

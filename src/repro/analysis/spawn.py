@@ -2,7 +2,7 @@
 
 Everything shipped into a spawned process is pickled: the ``spawn``
 start method (the only one this codebase uses — see
-``repro.parallel.pool`` and ``repro.fleet.router``) rebuilds worker
+``repro.parallel.pool``) rebuilds worker
 state from pickled bytes, so a ``threading.Lock``, an open file, a
 tracer, or a memoized cache smuggled inside an argument either crashes
 the spawn with ``TypeError: cannot pickle`` or — worse for the

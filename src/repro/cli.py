@@ -6,8 +6,7 @@ Usage (also via ``python -m repro``):
     repro fit --dataset ckg --n-train 160 --out model.npz
     repro classify table.csv [more.json -] --model model.npz [--evidence]
     repro serve --model model.npz --port 8080 --workers 4
-    repro serve --model model_dir --fleet 4
-    repro fleet --model model_dir --workers 4 --port 8080
+    repro serve --model model_dir --procs 4
     repro batch tables/ --model model.npz --workers 4 --out results.jsonl
     repro experiment table5 --scale smoke
     repro experiment all --scale paper --out artifacts.txt
@@ -31,45 +30,6 @@ from repro.corpus.profiles import get_profile, list_profiles
 from repro.corpus.registry import build_split
 from repro.experiments.runner import PAPER, SMOKE, pipeline_config_for
 from repro.tables.model import Table
-
-
-def _add_fleet_arguments(
-    parser: argparse.ArgumentParser, *, workers_flag: bool
-) -> None:
-    """Attach the fleet knobs shared by ``serve --fleet`` and ``fleet``.
-
-    ``repro fleet`` spells the worker count ``--workers`` (it has no
-    thread pool to confuse it with); ``repro serve`` spells it
-    ``--fleet`` because ``--workers`` already means threads there.
-    """
-    if workers_flag:
-        parser.add_argument(
-            "--workers", "--fleet", dest="fleet", type=int, default=2,
-            help="fleet worker processes (each mmap-loads the model once)",
-        )
-    else:
-        parser.add_argument(
-            "--fleet", type=int, default=None,
-            help="route requests across N worker processes behind the "
-                 "socket fleet router: consistent routing, admission "
-                 "control with fast 503s, automatic worker restarts, and "
-                 "blue/green model reloads via POST /admin/reload "
-                 "(mutually exclusive with --procs; see docs/FLEET.md)",
-        )
-    parser.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="bounded per-worker queue depth before requests are shed",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=2000.0,
-        help="admission deadline: requests predicted to wait longer than "
-             "this are shed with 503 + Retry-After",
-    )
-    parser.add_argument(
-        "--canary-fraction", type=float, default=0.1,
-        help="slice of live traffic diverted to the standby generation "
-             "during a blue/green reload",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,27 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record spans for the service's lifetime and write them on "
              "shutdown (.jsonl: span lines; else Chrome trace_event JSON)",
     )
-    _add_fleet_arguments(serve, workers_flag=False)
-
-    fleet_cmd = commands.add_parser(
-        "fleet",
-        help="run the HTTP service on a socket-routed worker fleet "
-             "(shorthand for serve --fleet N)",
-    )
-    fleet_cmd.add_argument(
-        "--model", required=True, action="append",
-        help="saved pipeline — a directory store is mmap-shared across "
-             "workers (repeatable; first is the default model)",
-    )
-    fleet_cmd.add_argument("--host", default="127.0.0.1")
-    fleet_cmd.add_argument("--port", type=int, default=8080)
-    fleet_cmd.add_argument("--cache-size", type=int, default=4096)
-    fleet_cmd.add_argument(
-        "--trace-out", metavar="PATH",
-        help="record spans for the service's lifetime and write them on "
-             "shutdown (.jsonl: span lines; else Chrome trace_event JSON)",
-    )
-    _add_fleet_arguments(fleet_cmd, workers_flag=True)
 
     batch = commands.add_parser(
         "batch", help="bulk-classify streaming sources to JSONL or a DB sink"
@@ -201,11 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--window-cols", type=int, default=None, metavar="K",
         help="with --window-rows: keep only the leftmost K columns in "
              "the window",
-    )
-    batch.add_argument(
-        "--no-stream", action="store_true",
-        help="use the legacy parse-all-then-classify path (plain file "
-             "inputs only; no pipelining, windows, or special specs)",
     )
     batch.add_argument(
         "--trace-out", metavar="PATH",
@@ -372,23 +306,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.httpd import ClassificationService, serve
     from repro.serve.registry import ModelRegistry
 
-    fleet = args.fleet
-    if fleet is not None and args.procs is not None:
-        print(
-            "repro serve: --fleet and --procs are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    fleet_config = None
-    if fleet is not None:
-        from repro.fleet import FleetConfig
-
-        fleet_config = FleetConfig(
-            workers=fleet,
-            queue_depth=args.queue_depth,
-            deadline=args.deadline_ms / 1000.0,
-            canary_fraction=args.canary_fraction,
-        )
     registry = ModelRegistry()
     for spec in args.model:
         registry.register(spec)
@@ -402,12 +319,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         cache_capacity=args.cache_size,
         procs=args.procs,
-        fleet=fleet,
-        fleet_config=fleet_config,
     )
     backend = (
-        f"fleet of {fleet} worker processes" if fleet is not None
-        else f"{args.procs} processes" if args.procs is not None
+        f"{args.procs} processes" if args.procs is not None
         else f"{workers} workers"
     )
     print(
@@ -424,17 +338,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         serve(service, host=args.host, port=args.port)
     return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    # `repro fleet` is `repro serve --fleet N` with the thread-pool
-    # knobs pinned to their defaults; normalise the namespace and
-    # delegate.
-    args.workers = None
-    args.procs = None
-    args.max_batch_size = 16
-    args.max_delay_ms = 5.0
-    return _cmd_serve(args)
 
 
 def _write_trace_file(tracer, path: str) -> None:
@@ -459,7 +362,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             cache_capacity=args.cache_size,
             ordered=not args.unordered,
             trace_dir=trace_dir,
-            streaming=not args.no_stream,
             window_rows=args.window_rows,
             window_cols=args.window_cols,
         )
@@ -634,8 +536,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_classify(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
     if args.command == "batch":
         return _cmd_batch(args)
     if args.command == "convert":

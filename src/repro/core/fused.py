@@ -40,7 +40,7 @@ indexed by global token id (:class:`_TokenRowCache` — a warm shard's
 token matrix is one fancy-index gather, and each token vector is held
 there once), or, for stores saved with a packed vocabulary, the
 memory-mapped :class:`repro.embeddings.lookup.PackedVocabulary` rows
-(f32 or int8 with per-row scales), which fleet and parallel workers
+(f32 or int8 with per-row scales), which ``--procs`` workers
 page-share.
 """
 

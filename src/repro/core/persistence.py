@@ -220,7 +220,7 @@ def _pipeline_payload(
     ``pack`` additionally resolves the embedder's whole vocabulary into
     a packed embedding matrix (``"f32"``, or ``"q8"`` for int8 rows with
     per-row scales) stored as ordinary payload arrays — in a directory
-    store these memory-map like everything else, so fleet/parallel
+    store these memory-map like everything else, so ``--procs``
     workers page-share one physical copy and the fused corpus path
     gathers token rows without re-resolving through the per-token cache.
     """

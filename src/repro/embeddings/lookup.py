@@ -87,7 +87,7 @@ class PackedVocabulary:
     centered) vector of vocabulary token ``i``, stored float32
     (``kind="f32"``) or int8 with per-row scales (``kind="q8"``).  Saved
     into the directory model store as raw ``.npy`` arrays, a packed
-    vocabulary memory-maps like every other array — fleet and parallel
+    vocabulary memory-maps like every other array — ``--procs``
     workers page-share one physical copy — and the fused corpus path
     gathers rows by token id instead of re-resolving in-vocabulary
     tokens through the per-token cache.

@@ -7,10 +7,6 @@ capture/restore across thread-pool boundaries), exporters for JSON
 lines and the Chrome ``trace_event`` format, and a "top spans" text
 profile.
 
-Spans recorded in another process can be grafted into a local trace
-with :meth:`~repro.obs.tracer.Tracer.adopt_spans` — the fleet router
-uses this to stitch worker-side spans under its own rpc spans.
-
 The process default is the :class:`~repro.obs.tracer.NoopTracer`, so
 the instrumentation baked into the pipeline, the embedding plane, and
 the serving layer is effectively free until a CLI flag

@@ -218,11 +218,6 @@ class Tracer:
         self._next_id = 1  # guarded-by: _lock
         self._max_spans = max_spans
         self._local = _ContextStack()
-        #: Wall-clock anchor: ``wall_epoch`` is ``time.time()`` at the
-        #: instant ``perf_epoch`` was ``time.perf_counter()``, letting
-        #: exporters translate monotonic span times to wall clock.
-        self.wall_epoch = time.time()
-        self.perf_epoch = time.perf_counter()
 
     @property
     def enabled(self) -> bool:
@@ -299,79 +294,6 @@ class Tracer:
         stack = self._local.stack
         if stack:
             stack.pop()
-
-    # ------------------------------------------------------------------
-    # cross-process adoption
-    # ------------------------------------------------------------------
-    def adopt_spans(
-        self,
-        records: list[dict],
-        *,
-        parent: TraceContext | None = None,
-        clock: dict | None = None,
-    ) -> int:
-        """Graft spans recorded by a tracer in *another process* into
-        this one's buffer, as if they had been recorded here.
-
-        ``records`` are :func:`~repro.obs.exporters.span_to_dict`
-        documents shipped over a socket (the fleet worker protocol).
-        Three translations make the foreign spans native:
-
-        * **ids** — span ids are minted per tracer, so the foreign ids
-          are remapped onto this tracer's counter (preserving the
-          parent/child edges *within* the shipment);
-        * **parentage** — spans whose parent is not in the shipment
-          (the remote roots) are re-parented onto ``parent`` and take
-          its trace id, so a router's rpc span and the worker's spans
-          form one tree;
-        * **time** — ``clock`` is the remote tracer's
-          ``{"wall": wall_epoch, "perf": perf_epoch}`` anchor; remote
-          ``perf_counter`` timestamps are rebased onto this tracer's
-          monotonic clock via the wall-clock difference, so durations
-          are exact and absolute positions are accurate to the cross-
-          process wall-clock skew (same host: microseconds).
-
-        Returns the number of spans adopted (buffer-capacity drops are
-        counted in :meth:`dropped` like any other span).
-        """
-        from repro.obs.exporters import span_from_dict
-
-        spans = [span_from_dict(record) for record in records]
-        offset = 0.0
-        if clock is not None:
-            remote_wall = float(clock.get("wall", 0.0))
-            remote_perf = float(clock.get("perf", 0.0))
-            offset = (
-                (remote_wall - self.wall_epoch)
-                - (remote_perf - self.perf_epoch)
-            )
-        with self._lock:
-            id_map = {
-                span.span_id: self._next_id + i
-                for i, span in enumerate(spans)
-            }
-            self._next_id += len(spans)
-        adopted = 0
-        for span in spans:
-            span.span_id = id_map[span.span_id]
-            if span.parent_id is not None and span.parent_id in id_map:
-                span.parent_id = id_map[span.parent_id]
-            elif parent is not None:
-                span.parent_id = parent.span_id
-                span.trace_id = parent.trace_id
-            else:
-                span.parent_id = None
-            if clock is not None:
-                span.start += offset
-                if span.end:
-                    span.end += offset
-            with self._lock:
-                if len(self._spans) < self._max_spans:
-                    self._spans.append(span)
-                    adopted += 1
-                else:
-                    self._dropped += 1
-        return adopted
 
     # ------------------------------------------------------------------
     # the recorded trace

@@ -12,29 +12,48 @@ cache, so N workers cost one physical copy of the model, not N.
 Path-driven bulk work goes through :meth:`map_paths`, which shards the
 path list into chunks, streams records back as chunks complete (in input
 order by default, completion order with ``ordered=False``), and isolates
-per-file errors inside the worker.  A crashed worker surfaces as one
-:class:`WorkerPoolError` instead of a hung pool, and KeyboardInterrupt
-cancels queued chunks promptly.
+per-file errors inside the worker.  KeyboardInterrupt cancels queued
+chunks promptly.
+
+A crashed worker heals: every submission goes through one ``_submit``,
+and when a worker dies (OOM kill, segfault, SIGKILL) the pool is rebuilt
+once for that break and every task without a result is resubmitted.
+Tasks are pure functions of their arguments, so the caller sees each
+result exactly once.  A task whose retry breaks the pool again fails
+with :class:`WorkerPoolError` — a poison input cannot loop forever — and
+the pool stays usable for the next submission.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+import weakref
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.parallel import _worker
 from repro.parallel.sharding import split_shards
 
 logger = logging.getLogger("repro.parallel.pool")
 
+#: Resubmissions a task gets after the pool broke under it.  A task that
+#: breaks the rebuilt pool again is treated as a poison input.
+_RETRIES = 1
+
 
 class WorkerPoolError(RuntimeError):
     """A worker process died or the pool is unusable."""
+
+
+def _cancel_if(outer: Future, inner_ref: "weakref.ref[Future]") -> None:
+    """Cancel the worker task when the caller cancelled its Future."""
+    inner = inner_ref()
+    if outer.cancelled() and inner is not None:
+        inner.cancel()
 
 
 def cpu_worker_default(*, floor: int = 1, ceiling: int = 8) -> int:
@@ -73,8 +92,6 @@ class ShardedPool:
         mmap: bool = True,
         trace_dir: str | Path | None = None,
     ) -> None:
-        if not model_specs:
-            raise ValueError("ShardedPool needs at least one model")
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.procs = procs if procs is not None else cpu_worker_default()
@@ -84,27 +101,155 @@ class ShardedPool:
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         if self.trace_dir is not None:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
+        self._mmap = mmap
+        self._cache_capacity = cache_capacity
+        initargs = self._initargs_for(model_specs, default)
+        self._lock = threading.Lock()
+        #: Worker initializer arguments; a rebuild reuses them.
+        self._initargs = initargs  # guarded-by: _lock
+        self._executor = self._new_executor(initargs)  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
+        #: Times a broken executor was replaced (worker crashes healed).
+        self.rebuilds = 0  # guarded-by: _lock
+        self._stage_lock = threading.Lock()
+        self._stage_totals: dict[str, list[float]] = {}  # guarded-by: _stage_lock
+
+    def _initargs_for(
+        self, model_specs: Mapping[str, str | Path], default: str | None
+    ) -> tuple:
         specs = {name: str(path) for name, path in model_specs.items()}
-        self.default_model = default if default is not None else next(iter(specs))
-        if self.default_model not in specs:
-            raise ValueError(f"default model {self.default_model!r} not in specs")
+        if not specs:
+            raise ValueError("ShardedPool needs at least one model")
+        default = default if default is not None else next(iter(specs))
+        if default not in specs:
+            raise ValueError(f"default model {default!r} not in specs")
+        trace_dir = str(self.trace_dir) if self.trace_dir is not None else None
+        return specs, default, trace_dir, self._mmap, self._cache_capacity
+
+    def _new_executor(self, initargs: tuple) -> ProcessPoolExecutor:
         # spawn, not fork: forking a process with live worker threads
         # (the serving layer always has them) deadlocks on held locks.
-        self._executor = ProcessPoolExecutor(
+        return ProcessPoolExecutor(
             max_workers=self.procs,
             mp_context=get_context("spawn"),
             initializer=_worker.init_classify_worker,
-            initargs=(
-                specs,
-                self.default_model,
-                str(self.trace_dir) if self.trace_dir is not None else None,
-                mmap,
-                cache_capacity,
-            ),
+            initargs=initargs,
         )
-        self._closed = False
-        self._stage_lock = threading.Lock()
-        self._stage_totals: dict[str, list[float]] = {}  # guarded-by: _stage_lock
+
+    # ------------------------------------------------------------------
+    # the one submission path
+    # ------------------------------------------------------------------
+    def _submit(
+        self,
+        fn: Callable[..., Any],
+        /,
+        *args: Any,
+        finish: Callable[[Any], Any] | None = None,
+    ) -> Future:
+        """Run ``fn(*args)`` in a worker; returns a Future of its result.
+
+        ``finish`` maps the worker's payload to the result on the
+        parent side (stage merging, error unwrapping).  A
+        ``BrokenProcessPool`` under the task rebuilds the pool and
+        resubmits it ``_RETRIES`` times, then fails it with
+        :class:`WorkerPoolError`.  Cancelling the returned Future
+        cancels the task if it has not started.
+        """
+        outer: Future = Future()
+        self._dispatch(outer, fn, args, finish, _RETRIES)
+        return outer
+
+    def _dispatch(
+        self,
+        outer: Future,
+        fn: Callable[..., Any],
+        args: tuple,
+        finish: Callable[[Any], Any] | None,
+        retries: int,
+    ) -> None:
+        while True:
+            with self._lock:
+                if self._closed:
+                    raise WorkerPoolError("pool is shut down")
+                executor = self._executor
+                try:
+                    inner = executor.submit(fn, *args)
+                except BrokenProcessPool:
+                    inner = None
+            if inner is not None:
+                break
+            # Broken by another task whose callback has not rebuilt it
+            # yet; this task never ran, so it keeps its retries.
+            self._replace(executor)
+        # Weak, so outer and inner form no reference cycle: a cycle would
+        # keep every chunk's arguments alive until the cyclic GC runs.
+        inner_ref = weakref.ref(inner)
+        outer.add_done_callback(lambda done: _cancel_if(done, inner_ref))
+        inner.add_done_callback(
+            lambda done: self._settle(
+                done, executor, outer, fn, args, finish, retries
+            )
+        )
+
+    def _replace(self, broken: ProcessPoolExecutor) -> None:
+        # Identity check: every task of one break calls this, and only
+        # the first of them swaps in a new executor.  The broken one has
+        # already shut itself down and reaped its processes.
+        with self._lock:
+            if self._executor is not broken or self._closed:
+                return
+            self._executor = self._new_executor(self._initargs)
+            self.rebuilds += 1
+            rebuilds = self.rebuilds
+        logger.warning(
+            "a worker process died; rebuilt the pool (rebuild %d)", rebuilds
+        )
+
+    def _settle(
+        self,
+        inner: Future,
+        executor: ProcessPoolExecutor,
+        outer: Future,
+        fn: Callable[..., Any],
+        args: tuple,
+        finish: Callable[[Any], Any] | None,
+        retries: int,
+    ) -> None:
+        if inner.cancelled():
+            outer.cancel()  # shut down without draining
+            return
+        if outer.done():
+            return
+        exc = inner.exception()
+        if isinstance(exc, BrokenProcessPool):
+            self._replace(executor)
+            if retries > 0:
+                try:
+                    self._dispatch(outer, fn, args, finish, retries - 1)
+                    return
+                except WorkerPoolError as err:
+                    exc = err
+            else:
+                exc = WorkerPoolError(
+                    f"{getattr(fn, '__name__', fn)} broke the worker pool "
+                    f"{_RETRIES + 1} times (a poison input, or the host "
+                    "is out of memory)"
+                )
+        result = None
+        if exc is None:
+            try:
+                result = inner.result()
+                if finish is not None:
+                    result = finish(result)
+            except Exception as err:  # noqa: BLE001 - delivered to the caller
+                exc = err
+        try:
+            if exc is None:
+                outer.set_result(result)
+            else:
+                outer.set_exception(exc)
+        except InvalidStateError:
+            pass  # the caller cancelled while this task finished
 
     # ------------------------------------------------------------------
     # bulk path interface (repro batch)
@@ -127,7 +272,7 @@ class ShardedPool:
         """
         chunks = split_shards([str(p) for p in paths], self._chunk_count(len(paths)))
         futures = [
-            self._executor.submit(_worker.classify_paths_chunk, model, chunk)
+            self._submit(_worker.classify_paths_chunk, model, chunk)
             for chunk in chunks
         ]
         pending = set(futures)
@@ -151,13 +296,7 @@ class ShardedPool:
         future: Future,
         stage_totals: dict[str, list[float]] | None,
     ) -> Iterator[dict]:
-        try:
-            payload = future.result()
-        except BrokenProcessPool as exc:
-            raise WorkerPoolError(
-                "a worker process died mid-run (OOM or hard crash); "
-                "results before the crash were already streamed"
-            ) from exc
+        payload = future.result()
         if stage_totals is not None:
             for stage, (total, count) in payload["stages"].items():
                 entry = stage_totals.setdefault(stage, [0.0, 0])
@@ -183,29 +322,17 @@ class ShardedPool:
         by the per-worker trace files instead.
         """
         model, table = item[0], item[1]
-        inner = self._executor.submit(
-            _worker.classify_tables_chunk, [(model, table)]
+        return self._submit(
+            _worker.classify_tables_chunk, [(model, table)],
+            finish=self._finish_one,
         )
-        outer: Future = Future()
-        inner.add_done_callback(lambda f: self._complete_one(f, outer))
-        return outer
 
-    def _complete_one(self, inner: Future, outer: Future) -> None:
-        if outer.cancelled():
-            return
-        exc = inner.exception()
-        if exc is not None:
-            if isinstance(exc, BrokenProcessPool):
-                exc = WorkerPoolError("a worker process died")
-            outer.set_exception(exc)
-            return
-        payload = inner.result()
+    def _finish_one(self, payload: dict) -> dict:
         self._merge_stages(payload["stages"])
         status, value = payload["results"][0]
         if status == "err":
-            outer.set_exception(RuntimeError(str(value)))
-        else:
-            outer.set_result(value)
+            raise RuntimeError(str(value))
+        return value
 
     def submit_tables(
         self, items: Sequence, *, model: str = ""
@@ -218,27 +345,14 @@ class ShardedPool:
         the process-pool classify stage of
         :func:`repro.connectors.pipelined.run_streaming_pool`.
         """
-        inner = self._executor.submit(
-            _worker.classify_stream_chunk, model, list(items)
+        return self._submit(
+            _worker.classify_stream_chunk, model, list(items),
+            finish=self._finish_stream_chunk,
         )
-        outer: Future = Future()
-        inner.add_done_callback(
-            lambda f: self._complete_stream_chunk(f, outer)
-        )
-        return outer
 
-    def _complete_stream_chunk(self, inner: Future, outer: Future) -> None:
-        if outer.cancelled():
-            return
-        exc = inner.exception()
-        if exc is not None:
-            if isinstance(exc, BrokenProcessPool):
-                exc = WorkerPoolError("a worker process died")
-            outer.set_exception(exc)
-            return
-        payload = inner.result()
+    def _finish_stream_chunk(self, payload: dict) -> list[dict]:
         self._merge_stages(payload["stages"])
-        outer.set_result(payload["records"])
+        return payload["records"]
 
     def map(self, items: Sequence[tuple]) -> list:
         """Submit every item, block until all complete, return in order."""
@@ -257,9 +371,7 @@ class ShardedPool:
         shards its case ranges this way — same warm-model pool, work
         that is not a classify chunk.
         """
-        if self._closed:
-            raise WorkerPoolError("pool is shut down")
-        return self._executor.submit(fn, *args)
+        return self._submit(fn, *args)
 
     def _merge_stages(self, stages: Mapping[str, tuple[float, int]]) -> None:
         # Completion callbacks run on executor-internal threads, so the
@@ -285,10 +397,40 @@ class ShardedPool:
         """One :func:`repro.parallel._worker.probe_models` report per
         submitted probe (used by tests to assert memmap backing)."""
         futures = [
-            self._executor.submit(_worker.probe_models)
-            for _ in range(self.procs)
+            self._submit(_worker.probe_models) for _ in range(self.procs)
         ]
         return [f.result() for f in futures]
+
+    def reload(
+        self,
+        model_specs: Mapping[str, str | Path],
+        *,
+        default: str | None = None,
+    ) -> None:
+        """Serve ``model_specs`` from fresh workers; drain the old ones.
+
+        A new worker has loaded every model before the new executor is
+        swapped in under the lock :meth:`_submit` takes; tasks already
+        on the old workers finish there.  A store the new workers cannot
+        load raises :class:`WorkerPoolError` and the old workers keep
+        serving.
+        """
+        initargs = self._initargs_for(model_specs, default)
+        fresh = self._new_executor(initargs)
+        try:
+            fresh.submit(_worker.probe_models).result()
+        except BrokenProcessPool as exc:
+            fresh.shutdown(wait=False)
+            raise WorkerPoolError(
+                f"workers could not load the new models: {exc}"
+            ) from exc
+        with self._lock:
+            if self._closed:
+                old = fresh
+            else:
+                old, self._executor = self._executor, fresh
+                self._initargs = initargs
+        old.shutdown(wait=True)
 
     def worker_spans(self) -> list:
         """Merged spans from every per-worker trace file (if tracing)."""
@@ -300,10 +442,12 @@ class ShardedPool:
 
     def shutdown(self, *, drain: bool = True) -> None:
         """Stop the pool; with ``drain`` finish queued work first."""
-        if self._closed:
-            return
-        self._closed = True
-        self._executor.shutdown(wait=drain, cancel_futures=not drain)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            executor = self._executor
+        executor.shutdown(wait=drain, cancel_futures=not drain)
 
     def __enter__(self) -> "ShardedPool":
         return self

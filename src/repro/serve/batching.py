@@ -41,21 +41,6 @@ R = TypeVar("R")
 _SENTINEL = object()
 
 
-class ServiceOverloaded(RuntimeError):
-    """The service cannot meet its queue deadline — shed, don't queue.
-
-    Raised by admission control (the fleet router, and any executor
-    that bounds its queue by deadline) instead of letting a request sit
-    in a queue it would only time out of.  The HTTP layer maps it to a
-    fast ``503`` with a ``Retry-After`` header built from
-    ``retry_after`` (seconds).
-    """
-
-    def __init__(self, message: str, *, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = max(0.0, retry_after)
-
-
 @dataclass(frozen=True)
 class BatchingConfig:
     """Knobs for the micro-batcher.

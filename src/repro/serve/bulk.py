@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import sys
 import time
 import weakref
 from glob import glob
@@ -395,22 +394,19 @@ def run_bulk(
     cache_capacity: int = 4096,
     ordered: bool = True,
     trace_dir: str | Path | None = None,
-    streaming: bool = True,
     window_rows: int | None = None,
     window_cols: int | None = None,
     metrics: ServiceMetrics | None = None,
 ) -> list[dict]:
     """The ``repro batch`` entry point: load once, classify many.
 
-    The default path is the pipelined streaming plane
-    (:mod:`repro.connectors`): parse threads feed the fused classify
-    stage through a backpressured bounded queue, inputs may be files,
-    dirs, globs, ``sql:``/``jsonl:``/``xlsx:`` specs, or ``-`` (stdin,
+    Runs on the pipelined streaming plane (:mod:`repro.connectors`):
+    parse threads feed the fused classify stage through a backpressured
+    bounded queue, inputs may be files, dirs, globs, ``sql:``/``jsonl:``/``xlsx:`` specs, or ``-`` (stdin,
     content-sniffed), and ``out`` may be a JSONL path or a
     ``sql:db#table`` sink spec.  ``window_rows``/``window_cols`` switch
     row-streamable sources (CSV files, DB cursors, stdin CSV) to
-    bounded-memory windowed classification.  ``streaming=False`` takes
-    the legacy parse-all-then-classify path (plain file inputs only).
+    bounded-memory windowed classification.
 
     ``workers`` sizes the parse/classify thread pool (``None`` =
     CPU-aware default).  ``procs`` switches the classify stage to worker
@@ -420,6 +416,9 @@ def run_bulk(
     instead of in input order.  ``trace_dir`` (procs only) collects
     per-worker span files for :func:`repro.parallel.traces.merge_traces`.
     """
+    from repro.connectors.pipelined import run_streaming, run_streaming_pool
+    from repro.connectors.sinks import build_sink
+    from repro.connectors.sources import build_sources
     from repro.core.persistence import load_pipeline
 
     name = Path(model_path).stem
@@ -428,68 +427,36 @@ def run_bulk(
         from repro.connectors.window import WindowConfig
 
         window = WindowConfig.from_budget(window_rows or 64, window_cols)
-    if streaming:
-        from repro.connectors.pipelined import run_streaming, run_streaming_pool
-        from repro.connectors.sinks import build_sink
-        from repro.connectors.sources import build_sources
+    sources = build_sources(inputs)
+    sink = build_sink(str(out)) if out is not None else build_sink("-")
+    try:
+        if procs is not None:
+            from repro.parallel import ShardedPool
 
-        sources = build_sources(inputs)
-        sink = build_sink(str(out)) if out is not None else build_sink("-")
-        try:
-            if procs is not None:
-                from repro.parallel import ShardedPool
-
-                with ShardedPool(
-                    {name: model_path}, procs=procs, default=name,
-                    cache_capacity=cache_capacity, trace_dir=trace_dir,
-                ) as pool:
-                    logger.info(
-                        "streaming %d sources onto %d processes",
-                        len(sources), pool.procs,
-                    )
-                    records = run_streaming_pool(
-                        pool, sources, model=name, parse_workers=workers,
-                        window=window, metrics=metrics, ordered=ordered,
-                        sink=sink,
-                    )
-                    if metrics is not None:
-                        metrics.merge_stage_totals(pool.drain_stage_totals())
-            else:
-                pipeline = load_pipeline(model_path)
-                cache = LRUCache(cache_capacity) if cache_capacity else None
-                logger.info("streaming %d sources", len(sources))
-                records = run_streaming(
-                    pipeline, sources, cache=cache, model=name,
-                    parse_workers=workers, window=window, metrics=metrics,
-                    ordered=ordered, sink=sink,
+            with ShardedPool(
+                {name: model_path}, procs=procs, default=name,
+                cache_capacity=cache_capacity, trace_dir=trace_dir,
+            ) as pool:
+                logger.info(
+                    "streaming %d sources onto %d processes",
+                    len(sources), pool.procs,
                 )
-        finally:
-            sink.close()
-        return records
-    if window is not None:
-        raise ValueError("windowed classification requires streaming mode")
-    paths = iter_table_paths(inputs)
-    if procs is not None:
-        from repro.parallel import ShardedPool
-
-        records = []
-        with ShardedPool(
-            {name: model_path}, procs=procs, default=name,
-            cache_capacity=cache_capacity, trace_dir=trace_dir,
-        ) as pool:
-            logger.info("bulk classifying %d tables on %d processes",
-                        len(paths), pool.procs)
-            records = list(
-                pool.map_paths([str(p) for p in paths], ordered=ordered)
+                records = run_streaming_pool(
+                    pool, sources, model=name, parse_workers=workers,
+                    window=window, metrics=metrics, ordered=ordered,
+                    sink=sink,
+                )
+                if metrics is not None:
+                    metrics.merge_stage_totals(pool.drain_stage_totals())
+        else:
+            pipeline = load_pipeline(model_path)
+            cache = LRUCache(cache_capacity) if cache_capacity else None
+            logger.info("streaming %d sources", len(sources))
+            records = run_streaming(
+                pipeline, sources, cache=cache, model=name,
+                parse_workers=workers, window=window, metrics=metrics,
+                ordered=ordered, sink=sink,
             )
-    else:
-        pipeline = load_pipeline(model_path)
-        cache = LRUCache(cache_capacity) if cache_capacity else None
-        records = classify_paths(
-            pipeline, paths, workers=workers, cache=cache, model=name,
-        )
-    if out is not None:
-        write_jsonl(records, out)
-    else:
-        write_jsonl(records, sys.stdout)
+    finally:
+        sink.close()
     return records

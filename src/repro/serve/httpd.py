@@ -10,24 +10,18 @@ Endpoints:
   list); each element is a table object or a plain rows list.
 * ``GET /healthz`` — liveness plus the loaded model names;
   ``GET /healthz?ready=1`` is the *readiness* probe, answering 503
-  until every model is loaded and (under ``--fleet``) a quorum of
-  workers is up.
+  unless the service is open with every model loaded.
 * ``GET /metrics`` — Prometheus text format: request counts, cache hit
-  ratio, p50/p95 latency, per-stage timings, fleet health.
-* ``POST /admin/reload`` — blue/green model reload: body
-  ``{"path": ..., "name"?: ..., "canary"?: fraction, "wait"?: bool}``;
-  200 on flip, 409 when the canary aborts or a reload is already
-  running.
+  ratio, p50/p95 latency, per-stage timings.
+* ``POST /admin/reload`` — hot model swap: body
+  ``{"path": ..., "name"?: ...}``; 200 with the new generation.
 
 :class:`ClassificationService` is the transport-independent core: it
 owns the registry, the LRU result cache, the metrics, and the
-execution backend — a micro-batching thread pool by default, a
-:class:`~repro.parallel.pool.ShardedPool` with ``procs``, or a
-:class:`~repro.fleet.router.FleetRouter` worker fleet with ``fleet``.
-The HTTP layer just parses bodies and serializes records, so tests
-(and future transports) can drive the service directly.  When the
-fleet sheds load (:class:`~repro.serve.batching.ServiceOverloaded`)
-the HTTP layer answers a fast ``503`` with a ``Retry-After`` header.
+execution backend — a micro-batching thread pool by default, or a
+:class:`~repro.parallel.pool.ShardedPool` of worker processes with
+``procs``.  The HTTP layer just parses bodies and serializes records,
+so tests (and future transports) can drive the service directly.
 """
 
 from __future__ import annotations
@@ -43,16 +37,11 @@ from typing import TYPE_CHECKING, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 if TYPE_CHECKING:
-    from repro.fleet.router import FleetConfig, FleetRouter
     from repro.parallel.pool import ShardedPool
 
 from repro import obs
 from repro.core.pipeline import MetadataPipeline
-from repro.serve.batching import (
-    BatchingConfig,
-    BatchingExecutor,
-    ServiceOverloaded,
-)
+from repro.serve.batching import BatchingConfig, BatchingExecutor
 from repro.serve.bulk import classify_cached, result_record, table_from_text
 from repro.serve.cache import LRUCache
 from repro.serve.metrics import ServiceMetrics
@@ -75,16 +64,8 @@ class ClassificationService:
     the OS page cache for directory stores).  Threads overlap I/O only;
     processes shard the classification math itself across CPUs.  In
     procs mode results are cached per worker process, so the parent
-    ``cache`` stays empty.
-
-    ``fleet`` runs the socket-routed worker fleet
-    (:class:`~repro.fleet.router.FleetRouter`): like procs it shards
-    the math across worker processes, and it adds admission control
-    (load shedding under overload), automatic restart of crashed
-    workers, and zero-downtime blue/green reloads via :meth:`reload`.
-    ``procs`` and ``fleet`` are mutually exclusive.  In fleet mode
-    results are cached per worker (consistent routing keeps the shards
-    disjoint), so the parent cache is disabled.
+    ``cache`` stays empty.  A killed worker process heals inside the
+    pool: its in-flight requests are resubmitted to a rebuilt pool.
     """
 
     def __init__(
@@ -95,66 +76,46 @@ class ClassificationService:
         cache_capacity: int = 4096,
         metrics: ServiceMetrics | None = None,
         procs: int | None = None,
-        fleet: int | None = None,
-        fleet_config: "FleetConfig | None" = None,
     ) -> None:
         if len(registry) == 0:
             raise ValueError("the service needs at least one loaded model")
-        if procs is not None and fleet is not None:
-            raise ValueError("procs and fleet are mutually exclusive")
         self.registry = registry
         self.metrics = metrics or ServiceMetrics()
         # capacity <= 0 disables the result cache entirely: no content
         # hashing, no cache lock on the per-item hot path (LRUCache(0)
-        # would still pay both just to record a miss).  Worker-process
-        # backends cache inside the workers, so the parent cache is off.
+        # would still pay both just to record a miss).
         self.cache: LRUCache | None = (
-            LRUCache(cache_capacity)
-            if cache_capacity > 0 and fleet is None
-            else None
+            LRUCache(cache_capacity) if cache_capacity > 0 else None
         )
         self.procs = procs
-        self.fleet = fleet
         self.workers = (batching or BatchingConfig()).workers
         for name in registry.names():
             # add_stage_hook composes with hooks the caller installed
             # (e.g. a tracing or bulk-metrics subscriber) instead of
             # clobbering them; see MetadataPipeline.add_stage_hook.
             registry.get(name).add_stage_hook(self.metrics.observe_stage)
-        self._router: "FleetRouter | None" = None
-        self._executor: "BatchingExecutor | ShardedPool | FleetRouter"
+        self._pool: "ShardedPool | None" = None
+        self._executor: "BatchingExecutor | ShardedPool"
+        # Serializes reloads so the registry and the worker pool flip
+        # in the same order.
+        self._reload_lock = threading.Lock()
         if procs is not None:
             from repro.parallel import ShardedPool
 
-            self._executor = ShardedPool(
-                self._model_specs("--procs"),
+            self._pool = ShardedPool(
+                self._model_specs(),
                 procs=procs,
                 default=registry.default_name,
                 cache_capacity=cache_capacity,
             )
-        elif fleet is not None:
-            from repro.fleet.router import FleetConfig, FleetRouter
-
-            config = fleet_config or FleetConfig()
-            if config.workers != fleet or config.cache_capacity != cache_capacity:
-                from dataclasses import replace
-
-                config = replace(
-                    config, workers=fleet, cache_capacity=cache_capacity
-                )
-            self._router = FleetRouter(
-                self._model_specs("--fleet"),
-                default=registry.default_name,
-                config=config,
-            )
-            self._executor = self._router
+            self._executor = self._pool
         else:
             self._executor = BatchingExecutor(
                 self._handle_batch, batching, on_batch=self._record_batch
             )
         self._closed = False
 
-    def _model_specs(self, flag: str) -> dict[str, str]:
+    def _model_specs(self) -> dict[str, str]:
         """Every model's on-disk path, for worker-process backends."""
         specs: dict[str, str] = {}
         for name in self.registry.names():
@@ -163,7 +124,7 @@ class ClassificationService:
             # (ModelRegistry.add) that workers cannot re-load.
             if not path.parts:
                 raise ValueError(
-                    f"model {name!r} has no on-disk path; serve {flag} "
+                    f"model {name!r} has no on-disk path; serve --procs "
                     "needs saved models the workers can load themselves"
                 )
             specs[name] = str(path)
@@ -234,11 +195,6 @@ class ClassificationService:
     def classify_many(
         self, tables: Sequence[Table], *, model: str = ""
     ) -> list[dict]:
-        if self._router is not None:
-            # Fleet bulk path: one corpus-shard request per worker
-            # instead of one socket round trip per table; each worker
-            # classifies its shard through the fused plane.
-            return self._router.classify_batch(tables, model=model)
         ctx = obs.capture_context()
         futures = [self._executor.submit((model, t, ctx)) for t in tables]
         return [f.result() for f in futures]
@@ -246,44 +202,22 @@ class ClassificationService:
     # ------------------------------------------------------------------
     # model lifecycle
     # ------------------------------------------------------------------
-    def reload(
-        self,
-        path: str,
-        *,
-        name: str | None = None,
-        canary: float | None = None,
-        wait: bool = True,
-    ) -> dict:
+    def reload(self, path: str, *, name: str | None = None) -> dict:
         """Hot-swap a model to the archive/store at ``path``.
 
-        Fleet mode runs the full blue/green dance (standby generation,
-        canary slice, compare, atomic flip, retire) — see
-        :meth:`repro.fleet.router.FleetRouter.reload`.  Thread mode
-        swaps the registry generation atomically and drops stale cached
-        results.  Not supported with ``--procs`` (the sharded pool has
-        no standby machinery); use ``--fleet`` for reloadable
-        multi-process serving.
+        The registry swaps the generation atomically and stale cached
+        results are dropped.  With ``procs`` the worker pool is rebuilt
+        on the new stores (:meth:`ShardedPool.reload`): fresh workers
+        load them before the flip, requests already on the old workers
+        finish there, and the old workers are drained.
         """
-        if self.procs is not None:
-            raise ValueError(
-                "model reload is not supported with --procs; "
-                "use --fleet for reloadable multi-process serving"
-            )
-        if self._router is not None:
-            outcome = self._router.reload(
-                path, name=name, canary=canary, wait=wait
-            )
-            if outcome.get("status") == "flipped":
-                # Keep the parent registry's view (names, paths,
-                # generation in /healthz and /metrics) in step with
-                # what the workers now serve.
-                self.registry.reload(path, name=name)
-                self.metrics.inc("reloads_total", outcome="flipped")
-            elif outcome.get("status") == "aborted":
-                self.metrics.inc("reloads_total", outcome="aborted")
-            return outcome
-        new_pipeline, _retired = self.registry.reload(path, name=name)
-        new_pipeline.add_stage_hook(self.metrics.observe_stage)
+        with self._reload_lock:
+            new_pipeline, _retired = self.registry.reload(path, name=name)
+            new_pipeline.add_stage_hook(self.metrics.observe_stage)
+            if self._pool is not None:
+                self._pool.reload(
+                    self._model_specs(), default=self.registry.default_name
+                )
         if self.cache is not None:
             # Cached annotations were produced by the retired
             # generation; serving them as the new model's answers would
@@ -298,24 +232,18 @@ class ClassificationService:
 
     def ready(self) -> bool:
         """Readiness (vs liveness): can this service answer a classify
-        request *right now*?  False until every model is loaded and,
-        under ``--fleet``, a quorum of workers is up."""
-        if self._closed or len(self.registry) == 0:
-            return False
-        if self._router is not None:
-            return self._router.ready()
-        return True
+        request *right now*?  False once closed or with no model."""
+        return not self._closed and len(self.registry) > 0
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def metrics_text(self) -> str:
         # Scrape-time aggregation: fold the per-stage timings worker
-        # processes accumulated since the last scrape (procs and fleet
-        # backends; the thread backend feeds metrics directly).
-        drain = getattr(self._executor, "drain_stage_totals", None)
-        if drain is not None:
-            self.metrics.merge_stage_totals(drain())
+        # processes accumulated since the last scrape (procs backend;
+        # the thread backend feeds metrics directly).
+        if self._pool is not None:
+            self.metrics.merge_stage_totals(self._pool.drain_stage_totals())
         extra: dict[str, float] = {
             "models_loaded": len(self.registry),
             "workers": self.workers,
@@ -329,51 +257,16 @@ class ClassificationService:
                 cache_hit_ratio=stats.hit_ratio,
                 cache_size=stats.size,
             )
-        labeled: dict[str, list[tuple[dict[str, str], float]]] | None = None
-        if self._router is not None:
-            status = self._router.status()
-            extra.update(
-                fleet_generation=float(status["generation"]),
-                fleet_workers_alive=float(status["alive"]),
-                fleet_workers_total=float(status["total"]),
-                fleet_shed_total=float(status["shed_total"]),
-                fleet_requests_total=float(status["requests_total"]),
-                fleet_reload_in_progress=float(
-                    bool(status["reload_in_progress"])
-                ),
-            )
-            labeled = {
-                "fleet_worker_up": [],
-                "fleet_worker_inflight": [],
-                "fleet_worker_restarts": [],
-            }
-            for worker in status["workers"]:
-                label = {"worker": str(worker["id"])}
-                labeled["fleet_worker_up"].append(
-                    (label, 1.0 if worker["alive"] else 0.0)
-                )
-                labeled["fleet_worker_inflight"].append(
-                    (label, float(worker["inflight"]) + float(worker["queued"]))
-                )
-                labeled["fleet_worker_restarts"].append(
-                    (label, float(worker["restarts"]))
-                )
-        return self.metrics.render(extra=extra, labeled=labeled)
+        if self._pool is not None:
+            extra["pool_rebuilds"] = self._pool.rebuilds
+        return self.metrics.render(extra=extra)
 
     def health(self) -> dict:
-        payload = {
+        return {
             "status": "ok",
             "models": self.registry.names(),
             "default": self.registry.default_name,
         }
-        if self._router is not None:
-            status = self._router.status()
-            payload["fleet"] = {
-                "generation": status["generation"],
-                "alive": status["alive"],
-                "total": status["total"],
-            }
-        return payload
 
     def close(self) -> None:
         """Drain in-flight requests, then stop the worker pool."""
@@ -565,9 +458,9 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = self.service.health()
                 if query.get("ready", ["0"])[0] in ("1", "true"):
                     # Readiness, not liveness: a live-but-unready
-                    # service (models still loading, fleet below
-                    # quorum) must be taken out of rotation, so the
-                    # probe answers 503 rather than a softer body.
+                    # service (closed, or no model loaded) must be
+                    # taken out of rotation, so the probe answers 503
+                    # rather than a softer body.
                     if self.service.ready():
                         payload["ready"] = True
                         self._send_json(200, payload)
@@ -626,13 +519,6 @@ class _Handler(BaseHTTPRequestHandler):
                 else:
                     self._send_json(404, {"error": f"no such endpoint {path}"})
                     return
-        except ServiceOverloaded as exc:
-            # Deliberate load shedding, not a failure: a fast 503 with
-            # Retry-After tells well-behaved clients when to come back.
-            self.service.metrics.inc("requests_shed_total")
-            self._send_json(
-                503, {"error": str(exc)}, retry_after=exc.retry_after
-            )
         except BadRequest as exc:
             self._send_json(400, {"error": str(exc)})
         except KeyError as exc:
@@ -650,38 +536,19 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _handle_reload(self) -> None:
-        """``POST /admin/reload`` — blue/green model swap."""
-        from repro.fleet.router import ReloadInProgress
-
+        """``POST /admin/reload`` — hot model swap."""
         try:
             payload = json.loads(self._read_body().decode() or "{}")
         except ValueError as exc:
             raise BadRequest(f"bad JSON body: {exc}") from exc
         if not isinstance(payload, dict) or not payload.get("path"):
             raise BadRequest("reload body needs a 'path' field")
-        canary = payload.get("canary")
-        if canary is not None and not isinstance(canary, (int, float)):
-            raise BadRequest("'canary' must be a number in [0, 1)")
+        name = str(payload["name"]) if payload.get("name") else None
         try:
-            outcome = self.service.reload(
-                str(payload["path"]),
-                name=(
-                    str(payload["name"]) if payload.get("name") else None
-                ),
-                canary=float(canary) if canary is not None else None,
-                wait=bool(payload.get("wait", True)),
-            )
-        except ReloadInProgress as exc:
-            self._send_json(409, {"error": str(exc)})
-            return
+            outcome = self.service.reload(str(payload["path"]), name=name)
         except ValueError as exc:
             raise BadRequest(str(exc)) from exc
-        if outcome.get("status") == "aborted":
-            # The canary failed and the old generation kept serving —
-            # the request did not achieve its effect, so not a 2xx.
-            self._send_json(409, outcome)
-        else:
-            self._send_json(200, outcome)
+        self._send_json(200, outcome)
 
 
 def make_server(

@@ -12,7 +12,7 @@ stock Prometheus scraper can consume ``GET /metrics`` unchanged.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 _NAMESPACE = "repro"
 
@@ -178,19 +178,8 @@ class ServiceMetrics:
                 f"{quantile(values, q):.6f}"
             )
 
-    def render(
-        self,
-        extra: Mapping[str, float] | None = None,
-        labeled: Mapping[str, Sequence[tuple[Mapping[str, str], float]]]
-        | None = None,
-    ) -> str:
-        """Render the scrape body.
-
-        ``extra`` adds one-off plain gauges; ``labeled`` adds gauge
-        families with per-sample labels (e.g. the fleet's per-worker
-        ``repro_fleet_worker_up{worker="0"}`` series), each rendered
-        under a single ``# TYPE`` header.
-        """
+    def render(self, extra: Mapping[str, float] | None = None) -> str:
+        """Render the scrape body; ``extra`` adds one-off plain gauges."""
         with self._lock:
             gauges = dict(self._gauges)
         lines: list[str] = []
@@ -205,9 +194,4 @@ class ServiceMetrics:
             full = f"{_NAMESPACE}_{name}"
             lines.append(f"# TYPE {full} gauge")
             lines.append(f"{full} {value:g}")
-        for name, samples in sorted((labeled or {}).items()):
-            full = f"{_NAMESPACE}_{name}"
-            lines.append(f"# TYPE {full} gauge")
-            for labels, value in samples:
-                lines.append(f"{full}{_fmt_labels(labels)} {value:g}")
         return "\n".join(lines) + "\n"

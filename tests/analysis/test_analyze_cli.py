@@ -80,7 +80,6 @@ def test_list_passes_exits_zero(capsys):
         "lock-reacquire-via-call",
         "spawn-unsafe-arg",
         "mmap-write",
-        "wire-asymmetry",
     ):
         assert pass_id in out
 

@@ -57,8 +57,8 @@ def test_cli_exits_zero_from_checkout(capsys):
 
 
 def test_analyze_cli_exits_zero_from_checkout(capsys):
-    # The whole-program passes (lock order, spawn safety, mmap writes,
-    # wire schema) must hold over the real tree with no baseline —
+    # The whole-program passes (lock order, spawn safety, mmap writes)
+    # must hold over the real tree with no baseline —
     # by-design findings carry inline suppressions with rationales.
     assert main(["analyze", "src", "--no-baseline"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Tests for ShardedPool: sharded bulk runs, the serve interface,
-memmap sharing, and failure handling."""
+memmap sharing, and failure handling (crash healing is also covered
+end to end by test_chaos.py)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.parallel import ShardedPool, WorkerPoolError, cpu_worker_default
 from repro.parallel import _worker
+from tests.parallel.chaos import KillOnce
 from tests.parallel.conftest import make_table
 
 
@@ -120,11 +122,34 @@ class TestMemmapSharing:
 
 
 class TestFailureModes:
-    def test_worker_crash_raises_pool_error(self, model_dir):
+    def test_worker_crash_raises_pool_error(self, model_dir, tmp_path):
         with ShardedPool({"m": model_dir}, procs=1) as crash_pool:
-            crash_pool._executor.submit(_worker.crash_worker)
+            # One crash heals: the task reruns on a rebuilt pool.
+            healed = crash_pool.run_task(abs, KillOnce(tmp_path / "armed", -3))
+            assert healed.result(timeout=120) == 3
+            assert crash_pool.rebuilds == 1
+            # A task that breaks the rebuilt pool too is a poison input:
+            # it fails instead of looping, and the pool stays usable.
+            poison = crash_pool.run_task(_worker.crash_worker)
+            with pytest.raises(WorkerPoolError, match="crash_worker"):
+                poison.result(timeout=120)
+            assert crash_pool.rebuilds == 3
+            record = crash_pool.submit(("m", make_table(7))).result(timeout=120)
+            assert record["name"] == "t007"
+
+    def test_reload_to_unloadable_store_keeps_serving(self, model_dir, tmp_path):
+        with ShardedPool({"m": model_dir}, procs=1) as p:
             with pytest.raises(WorkerPoolError):
-                list(crash_pool.map_paths(["whatever.csv"]))
+                p.reload({"m": tmp_path / "missing"})
+            record = p.submit(("m", make_table(8))).result(timeout=120)
+            assert record["name"] == "t008"
+            assert p.rebuilds == 0
+
+    def test_submit_after_shutdown_raises_pool_error(self, model_dir):
+        p = ShardedPool({"m": model_dir}, procs=1)
+        p.shutdown()
+        with pytest.raises(WorkerPoolError):
+            p.submit(("m", make_table(1)))
 
     def test_rejects_empty_specs(self):
         with pytest.raises(ValueError):

@@ -409,23 +409,24 @@ class TestRunBulkStreaming:
         return save_pipeline_dir(hashed_pipeline, path)
 
     def test_streaming_matches_legacy_path(self, model, table_dir, tmp_path):
+        # The legacy parse-all-then-classify plane survives only as the
+        # sequential reference: streaming must reproduce it record for
+        # record, in input order.
+        from repro.core.persistence import load_pipeline
         from repro.serve.bulk import run_bulk
 
         streamed = run_bulk(
             model, [str(table_dir)], out=tmp_path / "s.jsonl"
         )
-        legacy = run_bulk(
-            model,
-            [str(table_dir)],
-            out=tmp_path / "l.jsonl",
-            streaming=False,
+        reference = classify_paths(
+            load_pipeline(model), iter_table_paths([str(table_dir)])
         )
 
         def norm(record):
             skip = ("seconds", "cached", "source", "model")
             return {k: v for k, v in record.items() if k not in skip}
 
-        assert [norm(r) for r in streamed] == [norm(r) for r in legacy]
+        assert [norm(r) for r in streamed] == [norm(r) for r in reference]
 
     def test_windowed_batch(self, model, table_dir, tmp_path):
         from repro.serve.bulk import run_bulk
@@ -437,18 +438,6 @@ class TestRunBulkStreaming:
         assert len(records) == 6
         assert all(r["windowed"] and r["window_exact"] for r in records)
         assert len(out.read_text().splitlines()) == 6
-
-    def test_windowed_requires_streaming(self, model, table_dir, tmp_path):
-        from repro.serve.bulk import run_bulk
-
-        with pytest.raises(ValueError):
-            run_bulk(
-                model,
-                [str(table_dir)],
-                out=tmp_path / "o.jsonl",
-                window_rows=16,
-                streaming=False,
-            )
 
     def test_sqlite_sink_spec(self, model, table_dir, tmp_path):
         import sqlite3

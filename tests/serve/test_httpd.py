@@ -306,24 +306,41 @@ class TestAdminReload:
             _post(f"{base_url}/admin/reload", b"{}", "application/json")
         assert err.value.code == 400
 
-    def test_reload_bad_canary_is_400(self, base_url, archive_v2):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post(
-                f"{base_url}/admin/reload",
-                json.dumps(
-                    {"path": str(archive_v2), "canary": "lots"}
-                ).encode(),
-                "application/json",
-            )
-        assert err.value.code == 400
-
-    def test_reload_with_procs_backend_is_400(
-        self, registry, model_archive
+    def test_reload_with_procs_backend_flips(
+        self, registry, archive_v2, ckg_eval
     ):
+        # Requests keep flowing while the worker pool is rebuilt on the
+        # new store; none fails, and the generation advances.
         svc = ClassificationService(registry, procs=1)
         try:
-            with pytest.raises(ValueError, match="--fleet"):
-                svc.reload(str(model_archive))
+            table = ckg_eval[5].table
+            before = svc.classify_table(table)
+            stop = threading.Event()
+            during: list[dict] = []
+            errors: list[BaseException] = []
+
+            def hammer() -> None:
+                while not stop.is_set():
+                    try:
+                        during.append(svc.classify_table(ckg_eval[6].table))
+                    except BaseException as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+
+            thread = threading.Thread(target=hammer)
+            thread.start()
+            try:
+                outcome = svc.reload(str(archive_v2), name="default")
+            finally:
+                stop.set()
+                thread.join(timeout=120)
+            assert not thread.is_alive()
+            assert outcome == {"status": "flipped", "generation": 1}
+            assert errors == []
+            assert during
+            after = svc.classify_table(table)
+            assert after["row_labels"] == before["row_labels"]
+            # The new workers start with empty result caches.
+            assert after["cached"] is False
         finally:
             svc.close()
 

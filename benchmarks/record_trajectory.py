@@ -19,6 +19,7 @@ Measures three numbers on the current tree:
 * **p95 seconds** — the request-latency 95th percentile of the service
   run, straight from :class:`~repro.serve.metrics.ServiceMetrics`;
 * **batch procs tables/sec** — the same 120 tables through
+  :func:`~repro.connectors.pipelined.run_streaming_pool` on a
   :class:`~repro.parallel.ShardedPool` (``repro batch --procs``) with
   as many worker processes as the machine allows (capped at 4),
   steady-state, worker caches off;
@@ -263,6 +264,8 @@ def _measure_parallel(pipeline, tables) -> tuple[float, dict]:
         save_pipeline,
         save_pipeline_dir,
     )
+    from repro.connectors.pipelined import run_streaming_pool
+    from repro.connectors.sources import build_sources
     from repro.parallel import ShardedPool, cpu_worker_default
     from repro.tables.csvio import table_to_csv
 
@@ -283,9 +286,10 @@ def _measure_parallel(pipeline, tables) -> tuple[float, dict]:
         with ShardedPool(
             {"bench": store}, procs=procs, default="bench", cache_capacity=0
         ) as pool:
-            list(pool.map_paths(paths))  # warm worker imports + model pages
+            # warm worker imports + model pages
+            run_streaming_pool(pool, build_sources(paths))
             start = time.perf_counter()
-            records = list(pool.map_paths(paths))
+            records = run_streaming_pool(pool, build_sources(paths))
             elapsed = time.perf_counter() - start
         if any("error" in r for r in records):
             raise SystemExit("procs benchmark saw classification errors")
@@ -321,7 +325,11 @@ def _measure_streaming(pipeline, tables) -> tuple[float, float, float | None]:
         WindowConfig,
         classify_windowed,
     )
-    from repro.serve.bulk import classify_paths
+    from repro.serve.bulk import (
+        classify_tables_cached,
+        result_record,
+        table_from_path,
+    )
     from repro.tables.csvio import table_to_csv
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -350,10 +358,18 @@ def _measure_streaming(pipeline, tables) -> tuple[float, float, float | None]:
 
         speedup = None
         if len(os.sched_getaffinity(0)) >= 2:
+            # Parse every file, then classify in 16-table shards; no
+            # executor.
             sequential_best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                classify_paths(pipeline, paths, workers=1)
+                parsed = [table_from_path(path) for path in paths]
+                for i in range(0, len(parsed), 16):
+                    shard = parsed[i:i + 16]
+                    for table, (annotation, _hit) in zip(
+                        shard, classify_tables_cached(pipeline, shard, None)
+                    ):
+                        result_record(table, annotation)
                 sequential_best = min(
                     sequential_best, time.perf_counter() - start
                 )

@@ -3,8 +3,11 @@
 Three claims from the parallel subsystem are pinned here:
 
 * ``repro batch --procs 4`` is at least 2x faster than ``--procs 1`` on
-  a 120-table corpus (skipped on machines with fewer than 4 usable
-  CPUs — process sharding cannot beat itself on one core);
+  a 120-table corpus, timed on the path ``repro batch --procs`` ships
+  (:func:`~repro.connectors.pipelined.run_streaming_pool` over
+  ``build_sources(paths)``: parse threads in the parent, classify in
+  the workers); skipped on machines with fewer than 4 usable CPUs —
+  process sharding cannot beat itself on one core;
 * the output of the procs path is identical to the thread path record
   for record, modulo the volatile ``seconds``/``cached`` fields;
 * a directory-store cold load is at least 5x faster than the ``.npz``
@@ -30,6 +33,8 @@ from repro.core.persistence import (
 from repro.corpus.registry import build_corpus, build_split
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.corpus.vocabularies import get_domain
+from repro.connectors.pipelined import run_streaming_pool
+from repro.connectors.sources import build_sources
 from repro.parallel import ShardedPool
 from repro.serve.bulk import run_bulk
 from repro.tables.csvio import table_to_csv
@@ -63,7 +68,7 @@ def _write_tables(tmp_path):
 
 def _timed_pass(pool, paths):
     start = time.perf_counter()
-    records = list(pool.map_paths(paths))
+    records = run_streaming_pool(pool, build_sources(paths))
     elapsed = time.perf_counter() - start
     assert len(records) == len(paths)
     assert all("error" not in r for r in records)

@@ -1,6 +1,6 @@
 """Bench: the serving layer's amortization claims.
 
-``repro batch`` loads the model once and classifies on a worker pool;
+``repro batch`` loads the model once and streams every file through it;
 the pre-serving alternative was a shell loop of one-shot ``repro
 classify`` calls, each paying model deserialization again.  The
 benchmark classifies 120 small tables both ways and asserts the bulk
@@ -18,7 +18,9 @@ import pytest
 
 from repro.core.persistence import load_pipeline, save_pipeline
 from repro.corpus.registry import build_corpus
-from repro.serve.bulk import classify_paths, iter_table_paths, table_from_path
+from repro.connectors.pipelined import run_streaming
+from repro.connectors.sources import build_sources, expand_path_specs
+from repro.serve.bulk import table_from_path
 from repro.serve.cache import LRUCache
 from repro.tables.csvio import table_to_csv
 
@@ -38,7 +40,7 @@ def _write_tables(tmp_path, pipeline_source="ckg"):
 def test_bench_bulk_vs_oneshot_loop(tmp_path, warm_pipelines):
     pipeline = warm_pipelines["ckg"]
     model = save_pipeline(pipeline, tmp_path / "model.npz")
-    paths = iter_table_paths([_write_tables(tmp_path)])
+    paths = expand_path_specs([_write_tables(tmp_path)])
     assert len(paths) == N_TABLES
 
     # The pre-serving shape: every table pays load_pipeline again.
@@ -47,10 +49,12 @@ def test_bench_bulk_vs_oneshot_loop(tmp_path, warm_pipelines):
         load_pipeline(model).classify(table_from_path(path))
     t_oneshot = time.perf_counter() - start
 
-    # repro batch: load once, classify on a 4-thread pool.
+    # repro batch: load once, stream on 4 parse threads.
     warm = load_pipeline(model)
     start = time.perf_counter()
-    records = classify_paths(warm, paths, workers=4)
+    records = run_streaming(
+        warm, build_sources([str(p) for p in paths]), parse_workers=4
+    )
     t_bulk = time.perf_counter() - start
 
     assert len(records) == N_TABLES
@@ -131,15 +135,20 @@ def test_bench_serve_concurrent_speedup(warm_pipelines):
 
 def test_bench_cache_second_pass(tmp_path, warm_pipelines):
     pipeline = warm_pipelines["ckg"]
-    paths = iter_table_paths([_write_tables(tmp_path)])
+    table_dir = str(_write_tables(tmp_path))
     cache = LRUCache(4 * N_TABLES)
 
+    def _pass() -> list[dict]:
+        return run_streaming(
+            pipeline, build_sources([table_dir]), cache=cache, parse_workers=4
+        )
+
     start = time.perf_counter()
-    classify_paths(pipeline, paths, workers=4, cache=cache)
+    _pass()
     t_cold = time.perf_counter() - start
 
     start = time.perf_counter()
-    records = classify_paths(pipeline, paths, workers=4, cache=cache)
+    records = _pass()
     t_warm = time.perf_counter() - start
 
     assert all(r["cached"] for r in records)

@@ -33,7 +33,7 @@ from repro.connectors.window import (
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.corpus.registry import build_corpus, build_split
 from repro.corpus.vocabularies import get_domain
-from repro.serve.bulk import classify_paths
+from repro.serve.bulk import classify_tables_cached, result_record, table_from_path
 from repro.tables.csvio import table_to_csv
 
 N_TABLES = 120
@@ -75,8 +75,17 @@ def _write_tables(tmp_path):
 
 
 def _sequential_pass(pipeline, paths):
+    """Parse every file, then classify in 16-table shards; no executor."""
     start = time.perf_counter()
-    records = classify_paths(pipeline, paths, workers=1)
+    tables = [table_from_path(path) for path in paths]
+    records = []
+    for i in range(0, len(tables), 16):
+        shard = tables[i:i + 16]
+        outcomes = classify_tables_cached(pipeline, shard, None)
+        records.extend(
+            result_record(table, annotation)
+            for table, (annotation, _hit) in zip(shard, outcomes)
+        )
     elapsed = time.perf_counter() - start
     assert len(records) == len(paths)
     return elapsed

@@ -4,12 +4,12 @@ Every function here is a top-level callable — the spawn start method
 pickles tasks by reference, so nothing in this module may be a closure
 or a bound method.  Two families live here:
 
-* **pool workers** (:func:`init_classify_worker` + the ``*_chunk``
-  functions): per-process state is module-global — the initializer loads
-  every model once (memory-mapped for directory stores, so N workers
-  share one page-cached copy of the matrices) and optionally installs a
-  recording tracer whose spans are flushed to a per-pid JSONL file after
-  every chunk;
+* **pool workers** (:func:`init_classify_worker` + the one classify
+  entry, :func:`classify_stream_chunk`): per-process state is
+  module-global — the initializer loads every model once (memory-mapped
+  for directory stores, so N workers share one page-cached copy of the
+  matrices) and optionally installs a recording tracer whose spans are
+  flushed to a per-pid JSONL file after every chunk;
 * **fit workers** (stateless ``fit_*`` functions): map-phase payloads
   for the parallel fit — tokenization, PPMI co-occurrence counting,
   bootstrap labeling, and centroid sample collection — each a pure
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -113,138 +112,17 @@ def get_model(model: str = "") -> MetadataPipeline:
     return _resolve(model)[1]
 
 
-def classify_paths_chunk(model: str, paths: Sequence[str]) -> dict:
-    """Classify one shard of table files (the ``repro batch`` hot path).
-
-    Per-item error isolation mirrors the thread path: a bad file yields
-    one ``{"error": ...}`` record, never a failed chunk.  Returns the
-    records plus this chunk's per-stage timing totals so the parent can
-    aggregate :class:`~repro.serve.metrics.ServiceMetrics` across
-    workers.
-    """
-    from repro.serve.bulk import (
-        classify_tables_cached,
-        result_record,
-        table_from_path,
-    )
-
-    resolved, pipeline = _resolve(model)
-    stages = _StageTotals()
-    pipeline.add_stage_hook(stages)
-    records: list[dict | None] = [None] * len(paths)
-    try:
-        # Parse per file (isolated), then classify the survivors as one
-        # fused shard — the chunk is already a natural shard boundary.
-        start = time.perf_counter()
-        parsed_idx: list[int] = []
-        parsed = []
-        for i, path in enumerate(paths):
-            with obs.span("table", source=str(path), pid=os.getpid()) as span:
-                try:
-                    with obs.span("parse"):
-                        table = table_from_path(path)
-                except Exception as exc:  # noqa: BLE001 - per-file isolation
-                    records[i] = {"source": str(path), "error": str(exc)}
-                    continue
-                span.set(table=table.name)
-            parsed_idx.append(i)
-            parsed.append(table)
-        outcomes = classify_tables_cached(
-            pipeline, parsed, _CACHE, model=resolved
-        )
-        per_table = (
-            (time.perf_counter() - start) / len(parsed) if parsed else 0.0
-        )
-        for i, table, (annotation, hit) in zip(parsed_idx, parsed, outcomes):
-            if isinstance(annotation, Exception):
-                records[i] = {
-                    "source": str(paths[i]), "error": str(annotation),
-                }
-                continue
-            records[i] = result_record(
-                table, annotation, model=resolved, cached=hit,
-                seconds=per_table, source=str(paths[i]),
-            )
-    finally:
-        pipeline.remove_stage_hook(stages)
-        _flush_spans()
-    return {
-        "records": [r for r in records if r is not None],
-        "stages": stages.as_dict(),
-    }
-
-
-def classify_tables_chunk(
-    items: Sequence[tuple[str, Any]],
-) -> dict:
-    """Classify pickled ``(model, table)`` items (serve ``--procs`` mode).
-
-    Each result slot is ``("ok", record)`` or ``("err", message)`` — the
-    parent-side executor translates errors back into per-future
-    exceptions, matching the thread path's isolation contract.
-    """
-    from repro.serve.bulk import classify_tables_cached, result_record
-
-    stages = _StageTotals()
-    results: list[tuple[str, object] | None] = [None] * len(items)
-    hooked: list[MetadataPipeline] = []
-    # Group per model so each group classifies as one fused shard while
-    # keeping result order and per-item error isolation.
-    groups: dict[str, tuple[MetadataPipeline, list[int]]] = {}
-    try:
-        for i, (model, table) in enumerate(items):
-            try:
-                resolved, pipeline = _resolve(model)
-            except Exception as exc:  # noqa: BLE001 - per-item isolation
-                results[i] = ("err", f"{type(exc).__name__}: {exc}")
-                continue
-            if pipeline not in hooked:
-                pipeline.add_stage_hook(stages)
-                hooked.append(pipeline)
-            groups.setdefault(resolved, (pipeline, []))[1].append(i)
-        for resolved, (pipeline, idx) in groups.items():
-            tables = [items[i][1] for i in idx]
-            with obs.span(
-                "serve.chunk", model=resolved, tables=len(tables),
-                pid=os.getpid(),
-            ):
-                outcomes = classify_tables_cached(
-                    pipeline, tables, _CACHE, model=resolved
-                )
-            for i, table, (annotation, hit) in zip(idx, tables, outcomes):
-                if isinstance(annotation, Exception):
-                    results[i] = (
-                        "err",
-                        f"{type(annotation).__name__}: {annotation}",
-                    )
-                else:
-                    results[i] = (
-                        "ok",
-                        result_record(
-                            table, annotation, model=resolved, cached=hit
-                        ),
-                    )
-    finally:
-        for pipeline in hooked:
-            pipeline.remove_stage_hook(stages)
-        _flush_spans()
-    return {
-        "results": [
-            r if r is not None else ("err", "RuntimeError: not classified")
-            for r in results
-        ],
-        "stages": stages.as_dict(),
-    }
-
-
 def classify_stream_chunk(model: str, items: Sequence[Any]) -> dict:
-    """Classify one streaming :class:`TableChunk`'s items (``--procs``).
+    """Classify one chunk of source items (every ``--procs`` classify).
 
-    ``items`` is the chunk's pickled
-    :class:`~repro.connectors.chunks.SourceItem` sequence; the shared
-    chunk classifier (:func:`repro.connectors.pipelined.classify_chunk_items`)
-    keeps the record shapes — including windowed records and isolated
-    error records — identical to the in-process consumer's.
+    ``items`` is a pickled
+    :class:`~repro.connectors.chunks.SourceItem` sequence: a streaming
+    :class:`TableChunk` from ``repro batch``, or one served table.  The
+    shared chunk classifier
+    (:func:`repro.connectors.pipelined.classify_chunk_items`) keeps the
+    record shapes — including windowed records and isolated error
+    records — identical to the in-process consumer's.  An unknown
+    ``model`` raises :class:`KeyError`, which the parent receives as is.
     """
     from repro.connectors.pipelined import classify_chunk_items
 

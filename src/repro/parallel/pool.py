@@ -1,19 +1,18 @@
 """ShardedPool: a spawn-safe process pool for classification.
 
-The multiprocess counterpart of
-:class:`~repro.serve.batching.BatchingExecutor` — same ``submit`` /
-``map`` / ``shutdown(drain=...)`` surface, but work runs in worker
-*processes*, so pure-Python parsing and tokenization scale past the GIL.
-Each worker's initializer loads the model(s) exactly once; with a
-directory model store (:func:`repro.core.persistence.save_pipeline_dir`)
-the matrices are opened ``mmap_mode="r"`` and shared via the OS page
-cache, so N workers cost one physical copy of the model, not N.
+Work runs in worker *processes*, so pure-Python tokenization and the
+classify walk scale past the GIL.  Each worker's initializer loads the
+model(s) exactly once; with a directory model store
+(:func:`repro.core.persistence.save_pipeline_dir`) the matrices are
+opened ``mmap_mode="r"`` and shared via the OS page cache, so N workers
+cost one physical copy of the model, not N.
 
-Path-driven bulk work goes through :meth:`map_paths`, which shards the
-path list into chunks, streams records back as chunks complete (in input
-order by default, completion order with ``ordered=False``), and isolates
-per-file errors inside the worker.  KeyboardInterrupt cancels queued
-chunks promptly.
+Every classification ships :class:`~repro.connectors.chunks.SourceItem`
+chunks to the one worker entry,
+:func:`~repro.parallel._worker.classify_stream_chunk`:
+:meth:`submit_tables` carries ``repro batch --procs`` (the streaming
+plane of :func:`repro.connectors.pipelined.run_streaming_pool`), and
+:meth:`submit` carries ``repro serve --procs`` one table at a time.
 
 A crashed worker heals: every submission goes through one ``_submit``,
 and when a worker dies (OOM kill, segfault, SIGKILL) the pool is rebuilt
@@ -29,14 +28,13 @@ from __future__ import annotations
 import logging
 import threading
 import weakref
-from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor, wait
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.parallel import _worker
-from repro.parallel.sharding import split_shards
 
 logger = logging.getLogger("repro.parallel.pool")
 
@@ -76,9 +74,10 @@ class ShardedPool:
 
     ``model_specs`` maps model names to saved-pipeline paths (``.npz``
     archives or directory stores); ``default`` names the model used when
-    an item carries none.  Matches the
-    :class:`~repro.serve.batching.BatchingExecutor` executor interface
-    so the serving layer can swap thread workers for CPU shards.
+    an item carries none.  :meth:`submit` and :meth:`shutdown` match
+    the :class:`~repro.serve.batching.BatchingExecutor` executor
+    interface, so the serving layer can swap thread workers for CPU
+    shards.
     """
 
     def __init__(
@@ -87,17 +86,13 @@ class ShardedPool:
         *,
         procs: int | None = None,
         default: str | None = None,
-        chunk_size: int = 16,
         cache_capacity: int = 4096,
         mmap: bool = True,
         trace_dir: str | Path | None = None,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.procs = procs if procs is not None else cpu_worker_default()
         if self.procs < 1:
             raise ValueError("procs must be >= 1")
-        self.chunk_size = chunk_size
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         if self.trace_dir is not None:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
@@ -252,87 +247,34 @@ class ShardedPool:
             pass  # the caller cancelled while this task finished
 
     # ------------------------------------------------------------------
-    # bulk path interface (repro batch)
-    # ------------------------------------------------------------------
-    def map_paths(
-        self,
-        paths: Sequence[str | Path],
-        *,
-        model: str = "",
-        ordered: bool = True,
-        stage_totals: dict[str, list[float]] | None = None,
-    ) -> Iterator[dict]:
-        """Classify table files, yielding one record per path.
-
-        Paths are sharded into ``chunk_size`` chunks across the pool;
-        records stream back as chunks finish — in input order by default,
-        in completion order with ``ordered=False`` (lower peak memory,
-        first results sooner).  ``stage_totals`` (optional) accumulates
-        per-stage ``[seconds_sum, count]`` merged across all workers.
-        """
-        chunks = split_shards([str(p) for p in paths], self._chunk_count(len(paths)))
-        futures = [
-            self._submit(_worker.classify_paths_chunk, model, chunk)
-            for chunk in chunks
-        ]
-        pending = set(futures)
-        try:
-            if ordered:
-                for future in futures:
-                    yield from self._drain_chunk(future, stage_totals)
-                    pending.discard(future)
-            else:
-                while pending:
-                    done, pending = wait(pending, return_when="FIRST_COMPLETED")
-                    for future in done:
-                        yield from self._drain_chunk(future, stage_totals)
-        except (KeyboardInterrupt, GeneratorExit):
-            for future in pending:
-                future.cancel()
-            raise
-
-    def _drain_chunk(
-        self,
-        future: Future,
-        stage_totals: dict[str, list[float]] | None,
-    ) -> Iterator[dict]:
-        payload = future.result()
-        if stage_totals is not None:
-            for stage, (total, count) in payload["stages"].items():
-                entry = stage_totals.setdefault(stage, [0.0, 0])
-                entry[0] += total
-                entry[1] += count
-        yield from payload["records"]
-
-    def _chunk_count(self, n_items: int) -> int:
-        if n_items == 0:
-            return 1
-        # Enough chunks that every worker stays busy, bounded below by
-        # the requested chunk size so per-task IPC stays amortized.
-        by_size = max(1, -(-n_items // self.chunk_size))
-        return max(min(by_size, n_items), min(self.procs, n_items))
-
-    # ------------------------------------------------------------------
     # executor interface (serve --procs)
     # ------------------------------------------------------------------
     def submit(self, item: tuple) -> Future:
         """Submit one ``(model, table, ...)`` item; returns a Future of
-        its record.  Extra tuple elements (the thread path's trace
-        context) are ignored — cross-process trace continuity is handled
-        by the per-worker trace files instead.
+        its record, keyed exactly like the thread backend's.
+
+        The table ships as a one-item chunk to the same worker entry as
+        :meth:`submit_tables`.  An unknown model fails the Future with
+        the worker's :class:`KeyError`; a table that fails to classify
+        fails it with :class:`RuntimeError`.  Extra tuple elements (the
+        thread path's trace context) are ignored — cross-process trace
+        continuity is handled by the per-worker trace files instead.
         """
+        from repro.connectors.chunks import SourceItem
+
         model, table = item[0], item[1]
         return self._submit(
-            _worker.classify_tables_chunk, [(model, table)],
+            _worker.classify_stream_chunk, model,
+            [SourceItem(source="", table=table)],
             finish=self._finish_one,
         )
 
     def _finish_one(self, payload: dict) -> dict:
-        self._merge_stages(payload["stages"])
-        status, value = payload["results"][0]
-        if status == "err":
-            raise RuntimeError(str(value))
-        return value
+        (record,) = self._finish_stream_chunk(payload)
+        if "error" in record:
+            raise RuntimeError(record["error"])
+        del record["source"]
+        return record
 
     def submit_tables(
         self, items: Sequence, *, model: str = ""
@@ -341,9 +283,8 @@ class ShardedPool:
 
         Returns a Future of the chunk's record list (one record per
         item, error items included); per-stage timings merge into
-        :meth:`drain_stage_totals` like every other chunk path.  This is
-        the process-pool classify stage of
-        :func:`repro.connectors.pipelined.run_streaming_pool`.
+        :meth:`drain_stage_totals`.  This is the process-pool classify
+        stage of :func:`repro.connectors.pipelined.run_streaming_pool`.
         """
         return self._submit(
             _worker.classify_stream_chunk, model, list(items),
@@ -353,11 +294,6 @@ class ShardedPool:
     def _finish_stream_chunk(self, payload: dict) -> list[dict]:
         self._merge_stages(payload["stages"])
         return payload["records"]
-
-    def map(self, items: Sequence[tuple]) -> list:
-        """Submit every item, block until all complete, return in order."""
-        futures = [self.submit(item) for item in items]
-        return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
     # generic task interface (repro fuzz --procs)

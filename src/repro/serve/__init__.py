@@ -17,12 +17,13 @@ pipelines warm and amortizes work across requests:
 * :mod:`repro.serve.httpd` — the stdlib HTTP front-end
   (``POST /classify``, ``POST /classify/batch``, ``GET /healthz``,
   ``GET /metrics``) with graceful drain on shutdown.
-* :mod:`repro.serve.bulk` — the offline bulk path (``repro batch``)
-  sharing the same pool/cache machinery.
+* :mod:`repro.serve.bulk` — the offline bulk path (``repro batch``,
+  on the streaming plane of :mod:`repro.connectors`) and the record
+  and result-cache helpers every classify path shares.
 """
 
 from repro.serve.batching import BatchingConfig, BatchingExecutor
-from repro.serve.bulk import classify_paths, iter_table_paths, table_from_path
+from repro.serve.bulk import table_from_path
 from repro.serve.cache import LRUCache
 from repro.serve.httpd import ClassificationService, make_server
 from repro.serve.metrics import ServiceMetrics
@@ -35,8 +36,6 @@ __all__ = [
     "LRUCache",
     "ModelRegistry",
     "ServiceMetrics",
-    "classify_paths",
-    "iter_table_paths",
     "make_server",
     "table_from_path",
 ]

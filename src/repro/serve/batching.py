@@ -118,11 +118,6 @@ class BatchingExecutor(Generic[T, R]):
             self._queue.put((item, future))
             return future
 
-    def map(self, items: Sequence[T]) -> list[R]:
-        """Submit every item, block until all complete, return in order."""
-        futures = [self.submit(item) for item in items]
-        return [f.result() for f in futures]
-
     # ------------------------------------------------------------------
     # collector
     # ------------------------------------------------------------------

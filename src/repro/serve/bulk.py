@@ -1,10 +1,13 @@
-"""Offline bulk classification (``repro batch``).
+"""Offline bulk classification (``repro batch``) and the shared record
+helpers.
 
-Shares the serving layer's machinery — the same worker pool
-(:class:`~repro.serve.batching.BatchingExecutor`) and the same LRU
-result cache — but drives it from the filesystem: expand directories
-and globs into table files, classify them concurrently, and emit one
-JSON record per table (JSONL when written to a file).
+:func:`run_bulk` loads the model once and streams every input through
+the pipelined plane of :mod:`repro.connectors.pipelined` — on the
+calling process, or on a :class:`~repro.parallel.pool.ShardedPool` with
+``procs``.  The helpers here are what every classify path shares: table
+parsing (:func:`table_from_text`), the result-cache front
+(:func:`classify_tables_cached`), and the one-per-table JSON record
+(:func:`result_record`).
 """
 
 from __future__ import annotations
@@ -12,25 +15,17 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import time
 import weakref
-from glob import glob
 from pathlib import Path
 from typing import IO, Sequence
 
-from repro import obs
 from repro.core.pipeline import MetadataPipeline
-from repro.serve.batching import BatchingConfig, BatchingExecutor
 from repro.serve.cache import LRUCache
 from repro.serve.metrics import ServiceMetrics
 from repro.tables.labels import TableAnnotation
 from repro.tables.model import Table
 
 logger = logging.getLogger("repro.serve.bulk")
-
-#: Suffixes picked up when a directory is given as an input.
-TABLE_SUFFIXES = (".csv", ".json", ".md", ".markdown", ".html", ".htm")
-
 
 def table_from_path(path: str | Path) -> Table:
     """Load a table file: known suffixes dispatch, the rest content-sniff."""
@@ -106,57 +101,6 @@ def table_from_text(text: str, *, suffix: str = "", name: str = "") -> Table:
     from repro.tables.csvio import table_from_csv
 
     return table_from_csv(text, name=name)
-
-
-def _dir_table_files(path: Path) -> list[Path]:
-    """A directory's (non-recursive) table files, sorted."""
-    return [
-        p for p in sorted(path.iterdir())
-        if p.suffix.lower() in TABLE_SUFFIXES and p.is_file()
-    ]
-
-
-def iter_table_paths(specs: Sequence[str | Path]) -> list[Path]:
-    """Expand files, directories, and glob patterns into table paths.
-
-    Directories contribute their (non-recursive) table files; globs are
-    expanded relative to the working directory, and a glob match that is
-    itself a directory contributes its table files the same way a
-    literal directory spec does.  The result is sorted and de-duplicated
-    so runs are deterministic.
-    """
-    out: list[Path] = []
-    for spec in specs:
-        path = Path(spec)
-        if path.is_dir():
-            out.extend(_dir_table_files(path))
-        elif path.is_file():
-            out.append(path)
-        else:
-            matches = [Path(p) for p in sorted(glob(str(spec)))]
-            if not matches:
-                raise FileNotFoundError(f"no tables match {spec!r}")
-            for match in matches:
-                if match.is_dir():
-                    out.extend(_dir_table_files(match))
-                elif match.is_file():
-                    out.append(match)
-    # Dedupe by *resolved* path: overlapping globs and dir arguments
-    # reach the same file through different spellings (``tables/a.csv``
-    # vs ``./tables//a.csv`` vs a symlink), and raw Path equality used
-    # to emit such a table once per spelling.  Order-stable: first
-    # occurrence wins.
-    seen: set[Path] = set()
-    unique = []
-    for p in out:
-        try:
-            key = p.resolve()
-        except OSError:  # unresolvable (racing unlink): literal fallback
-            key = p
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
-    return unique
 
 
 def result_record(
@@ -292,82 +236,6 @@ def classify_tables_cached(
         r if r is not None else (RuntimeError("table was not classified"), False)
         for r in results
     ]
-
-
-def classify_paths(
-    pipeline: MetadataPipeline,
-    paths: Sequence[str | Path],
-    *,
-    workers: int | None = 4,
-    batching: BatchingConfig | None = None,
-    cache: LRUCache | None = None,
-    metrics: ServiceMetrics | None = None,
-    model: str = "",
-) -> list[dict]:
-    """Classify every path on a worker pool; one record per input.
-
-    Unreadable or unparseable inputs yield an ``{"error": ...}`` record
-    instead of aborting the run, so a bad file in a 10k-table batch
-    costs one line, not the batch.
-    """
-    if metrics is not None:
-        # Composes with any hook the caller already installed (tracing,
-        # a second metrics sink) instead of silently replacing it.
-        pipeline.add_stage_hook(metrics.observe_stage)
-
-    def _batch(batch: Sequence[Path]) -> list[dict]:
-        # Parse each file under its own "table" span (per-file error
-        # isolation), then classify the parsed survivors as ONE fused
-        # shard — per-shard Python overhead instead of per-table.
-        start = time.perf_counter()
-        records: list[dict | None] = [None] * len(batch)
-        parsed_idx: list[int] = []
-        parsed: list[Table] = []
-        for i, path in enumerate(batch):
-            with obs.span("table", source=str(path)) as table_span:
-                try:
-                    with obs.span("parse"):
-                        table = table_from_path(path)
-                except Exception as exc:  # noqa: BLE001 - per-file isolation
-                    logger.warning("failed on %s: %s", path, exc)
-                    if metrics is not None:
-                        metrics.inc("bulk_errors_total")
-                    records[i] = {"source": str(path), "error": str(exc)}
-                    continue
-                table_span.set(table=table.name)
-            parsed_idx.append(i)
-            parsed.append(table)
-        outcomes = classify_tables_cached(pipeline, parsed, cache, model=model)
-        per_table = (
-            (time.perf_counter() - start) / len(parsed) if parsed else 0.0
-        )
-        for i, table, (annotation, hit) in zip(parsed_idx, parsed, outcomes):
-            path = batch[i]
-            if isinstance(annotation, Exception):
-                logger.warning("failed on %s: %s", path, annotation)
-                if metrics is not None:
-                    metrics.inc("bulk_errors_total")
-                records[i] = {"source": str(path), "error": str(annotation)}
-                continue
-            if metrics is not None:
-                metrics.inc("bulk_tables_total")
-                metrics.observe_request(per_table)
-            records[i] = result_record(
-                table, annotation, model=model, cached=hit,
-                seconds=per_table, source=str(path),
-            )
-        return [r for r in records if r is not None]
-
-    if workers is None:
-        from repro.parallel.pool import cpu_worker_default
-
-        workers = cpu_worker_default()
-    config = batching or BatchingConfig(workers=workers)
-    expanded = [Path(p) for p in paths]
-    logger.info("bulk classifying %d tables on %d workers",
-                len(expanded), config.workers)
-    with BatchingExecutor(_batch, config) as executor:
-        return executor.map(expanded)
 
 
 def write_jsonl(records: Sequence[dict], out: str | Path | IO[str]) -> int:

@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     from repro.parallel.pool import ShardedPool
 
 from repro import obs
@@ -63,9 +65,13 @@ class ClassificationService:
     *processes* (each with its own warm copy of the models — shared via
     the OS page cache for directory stores).  Threads overlap I/O only;
     processes shard the classification math itself across CPUs.  In
-    procs mode results are cached per worker process, so the parent
-    ``cache`` stays empty.  A killed worker process heals inside the
-    pool: its in-flight requests are resubmitted to a rebuilt pool.
+    procs mode results are cached per worker process, so the parent has
+    no ``cache``; the cache metrics count each record's ``cached`` flag
+    instead.  The constructor spawns every worker and returns once one
+    probe per worker has come back, so a server bound after it serves
+    its first request without a spawn or a store load.  A killed
+    worker process heals inside the pool: its in-flight requests are
+    resubmitted to a rebuilt pool.
     """
 
     def __init__(
@@ -83,10 +89,13 @@ class ClassificationService:
         self.metrics = metrics or ServiceMetrics()
         # capacity <= 0 disables the result cache entirely: no content
         # hashing, no cache lock on the per-item hot path (LRUCache(0)
-        # would still pay both just to record a miss).
+        # would still pay both just to record a miss).  Worker
+        # processes keep their own caches, so procs mode builds none.
         self.cache: LRUCache | None = (
-            LRUCache(cache_capacity) if cache_capacity > 0 else None
+            LRUCache(cache_capacity)
+            if cache_capacity > 0 and procs is None else None
         )
+        self._worker_caches = procs is not None and cache_capacity > 0
         self.procs = procs
         self.workers = (batching or BatchingConfig()).workers
         for name in registry.names():
@@ -108,6 +117,11 @@ class ClassificationService:
                 default=registry.default_name,
                 cache_capacity=cache_capacity,
             )
+            try:
+                self._pool.probe_workers()
+            except BaseException:  # stop-then-reraise: nothing is swallowed
+                self._pool.shutdown(drain=False)
+                raise
             self._executor = self._pool
         else:
             self._executor = BatchingExecutor(
@@ -190,14 +204,22 @@ class ClassificationService:
         the submitting request's trace.
         """
         ctx = obs.capture_context()
-        return self._executor.submit((model, table, ctx)).result()
+        return self._record(self._executor.submit((model, table, ctx)))
 
     def classify_many(
         self, tables: Sequence[Table], *, model: str = ""
     ) -> list[dict]:
         ctx = obs.capture_context()
         futures = [self._executor.submit((model, t, ctx)) for t in tables]
-        return [f.result() for f in futures]
+        return [self._record(f) for f in futures]
+
+    def _record(self, future: "Future[dict]") -> dict:
+        record = future.result()
+        if self._worker_caches:
+            self.metrics.inc(
+                "cache_hits_total" if record["cached"] else "cache_misses_total"
+            )
+        return record
 
     # ------------------------------------------------------------------
     # model lifecycle
@@ -257,6 +279,10 @@ class ClassificationService:
                 cache_hit_ratio=stats.hit_ratio,
                 cache_size=stats.size,
             )
+        elif self._worker_caches:
+            hits = self.metrics.counter("cache_hits_total")
+            lookups = hits + self.metrics.counter("cache_misses_total")
+            extra["cache_hit_ratio"] = hits / lookups if lookups else 0.0
         if self._pool is not None:
             extra["pool_rebuilds"] = self._pool.rebuilds
         return self.metrics.render(extra=extra)

@@ -14,8 +14,20 @@ from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.corpus.generator import GeneratorConfig, GSTGenerator
 from repro.corpus.registry import build_split
 from repro.corpus.vocabularies import get_domain
+from repro.serve.bulk import result_record, table_from_path
 from repro.tables.labels import TableAnnotation
 from repro.tables.model import Table
+
+
+def sequential_records(pipeline: MetadataPipeline, paths) -> list[dict]:
+    """The bulk-path oracle: parse each file, then classify it alone."""
+    records = []
+    for path in paths:
+        table = table_from_path(path)
+        records.append(
+            result_record(table, pipeline.classify(table), source=str(path))
+        )
+    return records
 
 
 @pytest.fixture

@@ -10,9 +10,9 @@ from repro.connectors.pipelined import run_streaming, run_streaming_pool
 from repro.connectors.sinks import JsonlSink
 from repro.connectors.sources import build_sources
 from repro.connectors.window import WindowConfig
-from repro.serve.bulk import classify_paths
 from repro.serve.cache import LRUCache
 from repro.serve.metrics import ServiceMetrics
+from tests.conftest import sequential_records
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def _normalize(record: dict) -> dict:
 class TestRunStreaming:
     def test_matches_sequential_path(self, hashed_pipeline, corpus_dir):
         paths = sorted(corpus_dir.glob("*.csv"))
-        sequential = classify_paths(hashed_pipeline, paths)
+        sequential = sequential_records(hashed_pipeline, paths)
         streamed = run_streaming(
             hashed_pipeline,
             build_sources([str(p) for p in paths]),

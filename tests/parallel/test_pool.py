@@ -1,4 +1,4 @@
-"""Tests for ShardedPool: sharded bulk runs, the serve interface,
+"""Tests for ShardedPool: streaming bulk runs, the serve interface,
 memmap sharing, and failure handling (crash healing is also covered
 end to end by test_chaos.py)."""
 
@@ -7,6 +7,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.connectors.chunks import SourceItem
+from repro.connectors.pipelined import run_streaming_pool
+from repro.connectors.sources import build_sources
 from repro.parallel import ShardedPool, WorkerPoolError, cpu_worker_default
 from repro.parallel import _worker
 from tests.parallel.chaos import KillOnce
@@ -32,72 +35,81 @@ class TestCpuWorkerDefault:
 
 
 class TestMapPaths:
+    """Bulk runs over the pool: the streaming plane's process stage."""
+
     def test_ordered_records(self, pool, table_files, small_corpus):
-        records = list(pool.map_paths(table_files))
+        records = run_streaming_pool(pool, build_sources(table_files))
         assert [r["source"] for r in records] == table_files
         assert [r["name"] for r in records] == [t.name for t in small_corpus]
         assert all(r["model"] == "m" for r in records)
 
     def test_unordered_same_set(self, pool, table_files):
         def normalize(records):
-            # timing and worker-local cache hits vary run to run
+            # worker-local cache hits vary run to run
             return sorted(
                 (
-                    {k: v for k, v in r.items() if k not in ("seconds", "cached")}
+                    {k: v for k, v in r.items() if k != "cached"}
                     for r in records
                 ),
                 key=lambda r: r["source"],
             )
 
-        ordered = list(pool.map_paths(table_files))
-        unordered = list(pool.map_paths(table_files, ordered=False))
+        ordered = run_streaming_pool(pool, build_sources(table_files))
+        unordered = run_streaming_pool(
+            pool, build_sources(table_files), ordered=False
+        )
         assert normalize(ordered) == normalize(unordered)
 
     def test_per_file_error_isolation(self, pool, table_files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        records = list(pool.map_paths([*table_files[:2], str(bad)]))
+        records = run_streaming_pool(
+            pool, build_sources([*table_files[:2], str(bad)])
+        )
         assert len(records) == 3
         assert "error" in records[2] and records[2]["source"] == str(bad)
         assert "error" not in records[0]
 
-    def test_stage_totals_merged(self, pool, tmp_path):
-        # Fresh files: cache hits would skip classify() and emit no
-        # stage events, so reusing the shared fixture paths is flaky.
-        from repro.tables.csvio import table_to_csv
-
-        fresh = []
-        for i in range(4):
-            path = tmp_path / f"fresh{i}.csv"
-            path.write_text(table_to_csv(make_table(60 + i)))
-            fresh.append(str(path))
-        totals: dict[str, list[float]] = {}
-        list(pool.map_paths(fresh, stage_totals=totals))
-        total, count = totals["classify"]
-        assert count >= len(fresh)
+    def test_stage_totals_merged(self, pool):
+        # Fresh tables: cache hits would skip classify() and emit no
+        # stage events, so reusing the shared fixture tables is flaky.
+        items = [
+            SourceItem(source=f"fresh{i}", table=make_table(60 + i))
+            for i in range(4)
+        ]
+        pool.drain_stage_totals()
+        records = pool.submit_tables(items, model="m").result()
+        assert [r["source"] for r in records] == [i.source for i in items]
+        total, count = pool.drain_stage_totals()["classify"]
+        assert count >= len(items)
         assert total > 0.0
 
     def test_unknown_model_is_a_caller_error(self, pool, table_files):
         # A bad model name is a configuration mistake, not bad data:
         # it fails the run instead of emitting N per-file error records.
         with pytest.raises(KeyError, match="nope"):
-            list(pool.map_paths(table_files[:2], model="nope"))
+            run_streaming_pool(
+                pool, build_sources(table_files[:2]), model="nope"
+            )
 
 
 class TestServeInterface:
     def test_submit_and_map(self, pool):
         record = pool.submit(("m", make_table(40))).result()
         assert record["name"] == "t040"
-        records = pool.map([("m", make_table(41)), ("", make_table(42))])
-        assert [r["name"] for r in records] == ["t041", "t042"]
+        futures = [
+            pool.submit(("m", make_table(41))),
+            pool.submit(("", make_table(42))),
+        ]
+        assert [f.result()["name"] for f in futures] == ["t041", "t042"]
 
     def test_item_error_becomes_future_exception(self, pool):
         future = pool.submit(("missing-model", make_table(1)))
-        with pytest.raises(RuntimeError, match="missing-model"):
+        with pytest.raises(KeyError, match="missing-model"):
             future.result()
 
     def test_drain_stage_totals(self, pool):
-        pool.map([("m", make_table(50))])
+        pool.submit(("m", make_table(50))).result()
         totals = pool.drain_stage_totals()
         assert totals["classify"][1] >= 1
         # draining resets the accumulator
@@ -114,7 +126,7 @@ class TestMemmapSharing:
             assert report["m"]["data_ref_memmap"] is True
 
     def test_worker_spans_carry_pid_tid(self, pool, table_files):
-        list(pool.map_paths(table_files[:3]))
+        run_streaming_pool(pool, build_sources(table_files[:3]))
         spans = pool.worker_spans()
         assert spans, "tracing was enabled; spans expected"
         assert all(s.thread_id > 0 for s in spans)
@@ -163,15 +175,6 @@ class TestFailureModes:
         p = ShardedPool({"m": model_dir}, procs=1)
         p.shutdown()
         p.shutdown()
-
-
-class TestChunking:
-    def test_chunk_count_covers_all_workers(self, pool):
-        assert pool._chunk_count(0) == 1
-        assert pool._chunk_count(1) == 1
-        assert pool._chunk_count(100) >= pool.procs
-        # chunk-size bound: 100 items / 16 per chunk -> ceil = 7
-        assert pool._chunk_count(100) == 7
 
 
 class TestNumpyPayloads:

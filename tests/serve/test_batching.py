@@ -14,6 +14,12 @@ def _echo(batch):
     return [item * 2 for item in batch]
 
 
+def _map(ex, items):
+    """Submit every item, then collect the results in submission order."""
+    futures = [ex.submit(item) for item in items]
+    return [f.result() for f in futures]
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -31,7 +37,7 @@ class TestExecution:
 
     def test_map_preserves_order(self):
         with BatchingExecutor(_echo, BatchingConfig(workers=4)) as ex:
-            assert ex.map(list(range(50))) == [i * 2 for i in range(50)]
+            assert _map(ex, list(range(50))) == [i * 2 for i in range(50)]
 
     def test_batches_group_under_load(self):
         sizes: list[int] = []
@@ -39,7 +45,7 @@ class TestExecution:
         with BatchingExecutor(
             _echo, config, on_batch=sizes.append
         ) as ex:
-            ex.map(list(range(32)))
+            _map(ex, list(range(32)))
         assert sum(sizes) == 32
         # With a generous deadline the 32 items cannot all ride alone.
         assert max(sizes) > 1
@@ -47,7 +53,7 @@ class TestExecution:
     def test_zero_delay_still_completes(self):
         config = BatchingConfig(max_delay=0.0, workers=2)
         with BatchingExecutor(_echo, config) as ex:
-            assert ex.map([1, 2, 3]) == [2, 4, 6]
+            assert _map(ex, [1, 2, 3]) == [2, 4, 6]
 
     def test_handler_error_fails_batch_only(self):
         def flaky(batch):
@@ -100,7 +106,7 @@ class TestExecution:
         results: dict[int, list[int]] = {}
 
         def worker(seed: int, ex: BatchingExecutor) -> None:
-            results[seed] = ex.map(list(range(seed, seed + 25)))
+            results[seed] = _map(ex, list(range(seed, seed + 25)))
 
         with BatchingExecutor(slow, config) as ex:
             threads = [
@@ -181,7 +187,7 @@ class TestShutdown:
         results: dict[int, list[int]] = {}
 
         def worker(seed: int, ex: BatchingExecutor) -> None:
-            results[seed] = ex.map([seed * 10 + i for i in range(10)])
+            results[seed] = _map(ex, [seed * 10 + i for i in range(10)])
 
         with BatchingExecutor(_echo, BatchingConfig(workers=4)) as ex:
             threads = [

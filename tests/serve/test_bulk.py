@@ -1,4 +1,5 @@
-"""Tests for the offline bulk path."""
+"""Tests for the offline bulk path: input expansion, parsing, the
+result-cache helpers, and bulk runs on the streaming plane."""
 
 from __future__ import annotations
 
@@ -6,10 +7,10 @@ import json
 
 import pytest
 
+from repro.connectors.pipelined import run_streaming
+from repro.connectors.sources import build_sources, expand_path_specs
 from repro.serve.bulk import (
     classify_cached,
-    classify_paths,
-    iter_table_paths,
     result_record,
     table_from_path,
     table_from_text,
@@ -18,6 +19,7 @@ from repro.serve.bulk import (
 from repro.serve.cache import LRUCache
 from repro.serve.metrics import ServiceMetrics
 from repro.tables.csvio import table_to_csv
+from tests.conftest import sequential_records
 
 
 @pytest.fixture
@@ -30,38 +32,38 @@ def table_dir(tmp_path, ckg_eval):
 
 class TestPathExpansion:
     def test_directory_filters_suffixes(self, table_dir):
-        paths = iter_table_paths([table_dir])
+        paths = expand_path_specs([table_dir])
         assert len(paths) == 6
         assert all(p.suffix == ".csv" for p in paths)
 
     def test_glob(self, table_dir):
-        paths = iter_table_paths([str(table_dir / "t0*.csv")])
+        paths = expand_path_specs([str(table_dir / "t0*.csv")])
         assert len(paths) == 6
 
     def test_explicit_file_and_dedup(self, table_dir):
         one = table_dir / "t00.csv"
-        paths = iter_table_paths([one, table_dir])
+        paths = expand_path_specs([one, table_dir])
         assert paths.count(one) == 1
 
     def test_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            iter_table_paths([tmp_path / "absent-*.csv"])
+            expand_path_specs([tmp_path / "absent-*.csv"])
 
     def test_overlapping_glob_and_dir_dedupes(self, table_dir):
         # Regression: a file reached through both a glob and its parent
         # directory used to be classified (and billed) twice.
-        paths = iter_table_paths([str(table_dir / "*.csv"), str(table_dir)])
+        paths = expand_path_specs([str(table_dir / "*.csv"), str(table_dir)])
         assert len(paths) == 6
         assert len(set(paths)) == 6
 
     def test_spelling_variants_dedupe(self, table_dir):
         dotted = table_dir / "." / "t00.csv"
-        paths = iter_table_paths([table_dir / "t00.csv", dotted])
+        paths = expand_path_specs([table_dir / "t00.csv", dotted])
         assert len(paths) == 1
 
     def test_dedupe_is_order_stable(self, table_dir):
         favorite = table_dir / "t03.csv"
-        paths = iter_table_paths([favorite, table_dir])
+        paths = expand_path_specs([favorite, table_dir])
         assert paths[0] == favorite
         assert len(paths) == 6
 
@@ -221,11 +223,14 @@ class TestClassifyTablesCached:
 
 
 class TestClassifyPaths:
+    """Bulk runs over table files on the streaming plane."""
+
     def test_matches_direct_classification(
         self, hashed_pipeline, table_dir, ckg_eval
     ):
-        paths = iter_table_paths([table_dir])
-        records = classify_paths(hashed_pipeline, paths, workers=4)
+        records = run_streaming(
+            hashed_pipeline, build_sources([str(table_dir)]), parse_workers=4
+        )
         assert len(records) == 6
         for record, item in zip(records, ckg_eval[:6]):
             direct = hashed_pipeline.classify(item.table)
@@ -233,15 +238,14 @@ class TestClassifyPaths:
                 str(l) for l in direct.row_labels
             ]
             assert record["cached"] is False
-            assert record["seconds"] >= 0
 
     def test_duplicate_inputs_hit_cache(self, hashed_pipeline, table_dir):
-        paths = iter_table_paths([table_dir])
         cache = LRUCache(32)
-        classify_paths(hashed_pipeline, paths, workers=2, cache=cache)
-        records = classify_paths(
-            hashed_pipeline, paths, workers=2, cache=cache
-        )
+        for _ in range(2):
+            records = run_streaming(
+                hashed_pipeline, build_sources([str(table_dir)]),
+                cache=cache, parse_workers=2,
+            )
         assert all(r["cached"] for r in records)
         assert cache.stats().hits >= 6
 
@@ -251,14 +255,15 @@ class TestClassifyPaths:
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
         metrics = ServiceMetrics()
-        records = classify_paths(
-            hashed_pipeline, [good, bad], workers=2, metrics=metrics
+        records = run_streaming(
+            hashed_pipeline, build_sources([str(good), str(bad)]),
+            parse_workers=2, metrics=metrics,
         )
         by_source = {r["source"]: r for r in records}
         assert "error" in by_source[str(bad)]
         assert "row_labels" in by_source[str(good)]
-        assert metrics.counter("bulk_errors_total") == 1
-        assert metrics.counter("bulk_tables_total") == 1
+        assert metrics.counter("ingest_errors_total") == 1
+        assert metrics.counter("ingest_tables_total") == 1
 
 
 class TestOutput:
@@ -298,7 +303,7 @@ class TestGlobDirectories:
             for i, item in enumerate(ckg_eval[:2]):
                 (sub / f"t{i}.csv").write_text(table_to_csv(item.table))
             (sub / "notes.txt").write_text("not a table")
-        paths = iter_table_paths([str(tmp_path / "shard-*")])
+        paths = expand_path_specs([str(tmp_path / "shard-*")])
         assert len(paths) == 4
         assert all(p.suffix == ".csv" for p in paths)
         assert {p.parent.name for p in paths} == {"shard-a", "shard-b"}
@@ -308,7 +313,7 @@ class TestGlobDirectories:
         sub = tmp_path / "x-dir"
         sub.mkdir()
         (sub / "inner.csv").write_text(table_to_csv(ckg_eval[1].table))
-        paths = iter_table_paths([str(tmp_path / "x-*")])
+        paths = expand_path_specs([str(tmp_path / "x-*")])
         assert sorted(p.name for p in paths) == ["inner.csv", "x-file.csv"]
 
 
@@ -357,8 +362,8 @@ class TestEncodingTolerance:
         (tmp_path / "latin.csv").write_bytes(
             "tête,corps\nxyz,1\n".encode("latin-1")
         )
-        records = classify_paths(
-            hashed_pipeline, iter_table_paths([tmp_path]), workers=1
+        records = run_streaming(
+            hashed_pipeline, build_sources([str(tmp_path)]), parse_workers=1
         )
         assert len(records) == 2
         assert all("error" not in r for r in records)
@@ -377,7 +382,7 @@ class TestHtmlIngestion:
         (tmp_path / "page.html").write_text(self.MARKUP)
         (tmp_path / "page2.htm").write_text(self.MARKUP)
         (tmp_path / "skip.txt").write_text("not a table")
-        paths = iter_table_paths([tmp_path])
+        paths = expand_path_specs([tmp_path])
         assert [p.name for p in paths] == ["page.html", "page2.htm"]
 
     def test_colspan_expands_onto_the_grid(self, tmp_path):
@@ -390,8 +395,8 @@ class TestHtmlIngestion:
 
     def test_html_classifies_in_bulk(self, tmp_path, hashed_pipeline):
         (tmp_path / "page.html").write_text(self.MARKUP)
-        records = classify_paths(
-            hashed_pipeline, iter_table_paths([tmp_path]), workers=1
+        records = run_streaming(
+            hashed_pipeline, build_sources([str(tmp_path)]), parse_workers=1
         )
         assert len(records) == 1
         assert "error" not in records[0]
@@ -409,21 +414,22 @@ class TestRunBulkStreaming:
         return save_pipeline_dir(hashed_pipeline, path)
 
     def test_streaming_matches_legacy_path(self, model, table_dir, tmp_path):
-        # The legacy parse-all-then-classify plane survives only as the
-        # sequential reference: streaming must reproduce it record for
-        # record, in input order.
+        # Streaming must reproduce the one-file-at-a-time sequential
+        # oracle record for record, in input order.
         from repro.core.persistence import load_pipeline
         from repro.serve.bulk import run_bulk
 
+        # The oracle lists the inputs first: the JSONL output lands in
+        # the same directory, and expansion picks up .jsonl files.
+        reference = sequential_records(
+            load_pipeline(model), expand_path_specs([str(table_dir)])
+        )
         streamed = run_bulk(
             model, [str(table_dir)], out=tmp_path / "s.jsonl"
         )
-        reference = classify_paths(
-            load_pipeline(model), iter_table_paths([str(table_dir)])
-        )
 
         def norm(record):
-            skip = ("seconds", "cached", "source", "model")
+            skip = ("cached", "model")
             return {k: v for k, v in record.items() if k not in skip}
 
         assert [norm(r) for r in streamed] == [norm(r) for r in reference]

@@ -7,7 +7,9 @@ the result cache.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
 import threading
 import urllib.error
 import urllib.parse
@@ -31,15 +33,45 @@ def service(registry):
     svc.close()
 
 
-@pytest.fixture
-def base_url(service):
+@contextlib.contextmanager
+def _serving(service):
     server = make_server(service, port=0)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def base_url(service):
+    with _serving(service) as url:
+        yield url
+
+
+@pytest.fixture
+def procs_service(registry):
+    svc = ClassificationService(registry, cache_capacity=128, procs=1)
+    yield svc
+    svc.close()
+
+
+@pytest.fixture(params=["threads", "procs"])
+def backend_url(request, registry):
+    """A served service on the thread backend, then on ``procs=1``."""
+    svc = ClassificationService(
+        registry,
+        batching=BatchingConfig(workers=2, max_delay=0.002),
+        procs=1 if request.param == "procs" else None,
+    )
+    try:
+        with _serving(svc) as url:
+            yield url
+    finally:
+        svc.close()
 
 
 def _post(url: str, body: bytes, content_type: str) -> dict:
@@ -153,11 +185,12 @@ class TestErrors:
             _post(f"{base_url}/classify", b"{oops", "application/json")
         assert err.value.code == 400
 
-    def test_unknown_model_is_404(self, base_url, ckg_eval):
+    def test_unknown_model_is_404(self, backend_url, ckg_eval):
         body = table_to_csv(ckg_eval[0].table).encode()
         with pytest.raises(urllib.error.HTTPError) as err:
-            _post(f"{base_url}/classify?model=ghost", body, "text/csv")
+            _post(f"{backend_url}/classify?model=ghost", body, "text/csv")
         assert err.value.code == 404
+        assert "ghost" in json.loads(err.value.read().decode())["error"]
 
     def test_unknown_endpoint_is_404(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -343,6 +376,45 @@ class TestAdminReload:
             assert after["cached"] is False
         finally:
             svc.close()
+
+
+class TestProcsBackend:
+    """``procs`` answers like the thread backend, warm from the start."""
+
+    def test_replies_match_thread_backend(
+        self, registry, procs_service, ckg_eval
+    ):
+        threads = ClassificationService(registry, cache_capacity=128)
+        try:
+            for item in ckg_eval[:4]:
+                expected = threads.classify_table(item.table)
+                record = procs_service.classify_table(item.table)
+                assert record.keys() == expected.keys()
+                record.pop("cached")
+                expected.pop("cached")
+                assert record == expected
+        finally:
+            threads.close()
+
+    def test_cache_metrics_count_worker_hits(self, procs_service, ckg_eval):
+        assert procs_service.cache is None
+        table = ckg_eval[0].table
+        flags = [procs_service.classify_table(table)["cached"] for _ in range(3)]
+        assert flags == [False, True, True]
+        metrics = procs_service.metrics_text()
+        assert _metric(metrics, "repro_cache_hits_total") == 2
+        assert _metric(metrics, "repro_cache_misses_total") == 1
+        assert _metric(metrics, "repro_cache_hit_ratio") == pytest.approx(2 / 3)
+        assert "repro_cache_size" not in metrics
+
+    def test_first_request_spawns_no_worker(self, procs_service, ckg_eval):
+        # The constructor waited for the workers, so a server bound
+        # after it answers /healthz?ready=1 with the store loaded.
+        before = {p.pid for p in multiprocessing.active_children()}
+        assert before
+        procs_service.classify_table(ckg_eval[1].table)
+        after = {p.pid for p in multiprocessing.active_children()}
+        assert after == before
 
 
 class TestDegenerateTables:

@@ -13,9 +13,9 @@ Measures three numbers on the current tree:
   which makes it robust to machine-class noise;
 * **serve batch speedup** — the same workload through
   :class:`~repro.serve.httpd.ClassificationService` with concurrent
-  clients and a 4-worker micro-batching pool, vs the serial loop
-  (~1x on this tiny-table workload, where the GIL binds; tracked so a
-  collapse or an improvement both show up in the series);
+  clients, each classifying on its own thread, vs the serial loop
+  (below 1x on this tiny-table workload, where the GIL binds; tracked
+  so a collapse or an improvement both show up in the series);
 * **p95 seconds** — the request-latency 95th percentile of the service
   run, straight from :class:`~repro.serve.metrics.ServiceMetrics`;
 * **batch procs tables/sec** — the same 120 tables through
@@ -107,10 +107,9 @@ N_TABLES_PER_PROFILE = 30
 PROFILES = ("ckg", "saus", "cord19", "wdc")
 CLASSIFY_REPS = 3
 FUSED_REPS = 5
-#: Enough closed-loop clients that micro-batches fill on queue pressure
-#: instead of stalling on the max_delay deadline.
+#: Concurrent clients of the serve measurement; each classifies on
+#: its own thread, as a request does on the HTTP server.
 CLIENT_THREADS = 32
-SERVE_WORKERS = 4
 
 
 def _git_commit() -> str:
@@ -151,7 +150,6 @@ def _build_workload():
 
 
 def measure(verbose: bool = True) -> dict:
-    from repro.serve.batching import BatchingConfig
     from repro.serve.httpd import ClassificationService
     from repro.serve.metrics import ServiceMetrics, quantile
     from repro.serve.registry import ModelRegistry
@@ -190,7 +188,6 @@ def measure(verbose: bool = True) -> dict:
     metrics = ServiceMetrics()
     service = ClassificationService(
         registry,
-        batching=BatchingConfig(workers=SERVE_WORKERS),
         cache_capacity=0,  # measure classification, not the result cache
         metrics=metrics,
     )
@@ -239,7 +236,7 @@ def measure(verbose: bool = True) -> dict:
             f"({fused_speedup:.2f}x, best of {FUSED_REPS}, "
             f"labels verified)\n"
             f"serve:    {speedup:.2f}x vs serial "
-            f"({SERVE_WORKERS} workers, {CLIENT_THREADS} clients), "
+            f"({CLIENT_THREADS} clients), "
             f"p95 {p95 * 1000:.1f}ms\n"
             f"procs:    {procs_tables_per_sec:.1f} tables/sec "
             f"(ShardedPool)\n"

@@ -74,12 +74,11 @@ def test_bench_bulk_vs_oneshot_loop(tmp_path, warm_pipelines):
     USABLE_CPUS < 4, reason=f"needs >=4 usable CPUs, have {USABLE_CPUS}"
 )
 def test_bench_serve_concurrent_speedup(warm_pipelines):
-    """Pin the serve-path amortization: 32 concurrent clients against a
-    4-worker micro-batching service must beat the serial loop by >=1.5x.
+    """Pin the serve-path concurrency: 32 concurrent clients, each
+    classifying on its own thread, must beat the serial loop by >=1.5x.
     This is the ``serve_batch_speedup`` trajectory number as a gate, so
-    a batching regression fails the bench job instead of only drifting
-    the series."""
-    from repro.serve.batching import BatchingConfig
+    a serve-path regression fails the bench job instead of only
+    drifting the series."""
     from repro.serve.httpd import ClassificationService
     from repro.serve.registry import ModelRegistry
 
@@ -102,7 +101,6 @@ def test_bench_serve_concurrent_speedup(warm_pipelines):
     registry.add("bench", pipeline)
     service = ClassificationService(
         registry,
-        batching=BatchingConfig(workers=4),
         cache_capacity=0,  # measure classification, not the result cache
     )
     try:
@@ -117,7 +115,7 @@ def test_bench_serve_concurrent_speedup(warm_pipelines):
                 )
                 return time.perf_counter() - start
 
-        _concurrent_pass()  # warm the worker pool
+        _concurrent_pass()  # warm up
         concurrent_best = min(_concurrent_pass() for _ in range(3))
     finally:
         service.close()

@@ -28,8 +28,9 @@ Packages:
   Transformer, and simulated LLM/LLM+RAG comparators;
 * :mod:`repro.experiments` — regeneration of every paper table/figure;
 * :mod:`repro.serve` — the long-lived serving layer: warm model
-  registry, micro-batching worker pool, LRU result cache, Prometheus
-  metrics, HTTP front-end, and the offline bulk path.
+  registry, LRU result cache, Prometheus metrics, HTTP front-end
+  (classifying on the request thread or on worker processes), and the
+  offline bulk path.
 """
 
 from repro.core.classifier import ClassificationResult, MetadataClassifier

@@ -22,10 +22,12 @@ run); a wrong edge would manufacture deadlock cycles out of thin air
   importing module's import table (``from mod import f``);
 * ``mod.f(...)`` resolves through the importing module's import table;
 * ``obj.m(...)`` resolves via the receiver's inferred class — from a
-  parameter annotation, a local ``obj = ClassName(...)`` assignment, or
-  the return annotation of a resolved call — and as a last resort by
-  *unique method name* across the whole program (two candidates =
-  unresolved).
+  parameter annotation, a local ``obj = ClassName(...)`` assignment or
+  ``obj: ClassName = ...`` annotation, or the return annotation of a
+  resolved call — and as a last resort by *unique method name* across
+  the whole program (two candidates = unresolved).  A local annotated
+  with a class the program does not define (``ex: ThreadPoolExecutor
+  = ...``) never falls back to the unique name.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ class ProgramModel:
         self,
         caller: FunctionInfo,
         site: CallSite,
-        locals_: dict[str, ClassInfo],
+        locals_: dict[str, ClassInfo | None],
     ) -> FunctionInfo | None:
         text = site.text
         if text is None:
@@ -294,10 +296,11 @@ class ProgramModel:
             return None
         if len(parts) == 2:
             head, meth = parts
-            # a local variable with an inferred class
-            cls = locals_.get(head)
-            if cls is not None:
-                return self._method_on(cls, meth)
+            # a local variable with an inferred class; None marks a
+            # type from outside the program, whose methods stay unresolved
+            if head in locals_:
+                cls = locals_[head]
+                return self._method_on(cls, meth) if cls is not None else None
             # an imported module or class
             imported = self._imports.get(
                 self._module_key(caller.context), {}
@@ -383,17 +386,26 @@ class ProgramModel:
 
 def _infer_local_classes(
     model: ProgramModel, info: FunctionInfo
-) -> dict[str, ClassInfo]:
+) -> dict[str, ClassInfo | None]:
     """Best-effort ``local name -> ClassInfo`` inference inside one
     function: parameter annotations, ``x = ClassName(...)`` assignments,
-    and ``x = f(...)`` where ``f``'s return annotation names a class."""
-    out: dict[str, ClassInfo] = {}
+    ``x: ClassName = ...`` annotations, and ``x = f(...)`` where ``f``'s
+    return annotation names a class.  An annotated local whose class the
+    program does not define maps to None."""
+    out: dict[str, ClassInfo | None] = {}
     args = info.node.args
     for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
         cls = _class_from_annotation(model, arg.annotation)
         if cls is not None:
             out[arg.arg] = cls
     for node in ast.walk(info.node):
+        if isinstance(node, ast.AnnAssign) and isinstance(
+            node.target, ast.Name
+        ):
+            out[node.target.id] = _class_from_annotation(
+                model, node.annotation
+            )
+            continue
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]

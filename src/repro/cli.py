@@ -5,7 +5,7 @@ Usage (also via ``python -m repro``):
     repro datasets
     repro fit --dataset ckg --n-train 160 --out model.npz
     repro classify table.csv [more.json -] --model model.npz [--evidence]
-    repro serve --model model.npz --port 8080 --workers 4
+    repro serve --model model.npz --port 8080
     repro serve --model model_dir --procs 4
     repro batch tables/ --model model.npz --workers 4 --out results.jsonl
     repro experiment table5 --scale smoke
@@ -77,19 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help="thread workers (default: CPU count, capped at 8)",
-    )
-    serve.add_argument(
         "--procs", type=int, default=None,
         help="shard classification across N worker processes instead of "
              "threads (each loads the model once; directory stores are "
              "memory-mapped and shared)",
-    )
-    serve.add_argument("--max-batch-size", type=int, default=16)
-    serve.add_argument(
-        "--max-delay-ms", type=float, default=5.0,
-        help="micro-batch latency deadline in milliseconds",
     )
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument(
@@ -301,28 +292,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.parallel.pool import cpu_worker_default
-    from repro.serve.batching import BatchingConfig
     from repro.serve.httpd import ClassificationService, serve
     from repro.serve.registry import ModelRegistry
 
     registry = ModelRegistry()
     for spec in args.model:
         registry.register(spec)
-    workers = args.workers if args.workers is not None else cpu_worker_default()
     service = ClassificationService(
-        registry,
-        batching=BatchingConfig(
-            max_batch_size=args.max_batch_size,
-            max_delay=args.max_delay_ms / 1000.0,
-            workers=workers,
-        ),
-        cache_capacity=args.cache_size,
-        procs=args.procs,
+        registry, cache_capacity=args.cache_size, procs=args.procs
     )
     backend = (
         f"{args.procs} processes" if args.procs is not None
-        else f"{workers} workers"
+        else "request threads"
     )
     print(
         f"serving {', '.join(registry.names())} on "

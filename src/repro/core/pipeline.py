@@ -132,18 +132,6 @@ class MetadataPipeline:
         #: other — install with :meth:`add_stage_hook`.
         self._stage_hooks: list[StageHook] = []
 
-    @property
-    def stage_hook(self) -> StageHook | None:
-        """The first installed stage hook (legacy single-subscriber view)."""
-        return self._stage_hooks[0] if self._stage_hooks else None
-
-    @stage_hook.setter
-    def stage_hook(self, hook: StageHook | None) -> None:
-        # Legacy assignment semantics: replace every subscriber.  New
-        # code should use add_stage_hook()/remove_stage_hook(), which
-        # compose.
-        self._stage_hooks = [] if hook is None else [hook]
-
     def add_stage_hook(self, hook: StageHook) -> None:
         """Subscribe ``hook`` to stage timings (idempotent per hook)."""
         if hook not in self._stage_hooks:

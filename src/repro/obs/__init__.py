@@ -2,9 +2,8 @@
 
 A lightweight, stdlib-only tracing layer: hierarchical
 :class:`~repro.obs.spans.Span` records with monotonic timing and
-per-span attributes, thread-local context propagation (with explicit
-capture/restore across thread-pool boundaries), exporters for JSON
-lines and the Chrome ``trace_event`` format, and a "top spans" text
+per-span attributes, thread-local context propagation, exporters for
+JSON lines and the Chrome ``trace_event`` format, and a "top spans" text
 profile.
 
 The process default is the :class:`~repro.obs.tracer.NoopTracer`, so
@@ -41,13 +40,11 @@ from repro.obs.tracer import (
     NoopTracer,
     Tracer,
     TracerLike,
-    capture_context,
     get_tracer,
     iter_roots,
     set_tracer,
     span,
     tracing,
-    use_context,
 )
 
 __all__ = [
@@ -56,7 +53,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "TracerLike",
-    "capture_context",
     "chrome_trace",
     "chrome_trace_events",
     "get_tracer",
@@ -68,7 +64,6 @@ __all__ = [
     "span_to_dict",
     "top_spans_report",
     "tracing",
-    "use_context",
     "write_chrome_trace",
     "write_jsonl",
     "write_trace",

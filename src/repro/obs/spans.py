@@ -29,10 +29,8 @@ def new_trace_id() -> str:
 class TraceContext:
     """The propagatable part of "where am I in the trace".
 
-    Captured on one thread (:func:`repro.obs.capture_context`) and
-    restored on another (:func:`repro.obs.use_context`), it carries
-    exactly what a child span needs to attach to a remote parent: the
-    trace id and the parent span id.
+    It carries exactly what a child span needs to attach to its parent:
+    the trace id and the parent span id.
     """
 
     trace_id: str

@@ -10,11 +10,6 @@ Two implementations share one protocol:
   are empty, so instrumentation left in the hot path costs a function
   call and a dict build, nothing more (the disabled-overhead benchmark
   in ``benchmarks/test_bench_aggregate.py`` holds it under 2%).
-
-Crossing a thread pool severs the thread-local chain, so the serving
-layer captures a :class:`~repro.obs.spans.TraceContext` at ``submit()``
-time and restores it on the worker with :func:`use_context` — see
-``repro.serve.httpd.ClassificationService``.
 """
 
 from __future__ import annotations
@@ -42,19 +37,6 @@ class SpanHandle(Protocol):
     def set(self, **attributes: object) -> object: ...
 
 
-class ContextHandle(Protocol):
-    """What ``tracer.use_context(...)`` returns."""
-
-    def __enter__(self) -> object: ...
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None: ...
-
-
 class TracerLike(Protocol):
     """The tracer duck type shared by :class:`Tracer` and :class:`NoopTracer`."""
 
@@ -66,8 +48,6 @@ class TracerLike(Protocol):
     ) -> SpanHandle: ...
 
     def current_context(self) -> TraceContext | None: ...
-
-    def use_context(self, context: TraceContext | None) -> ContextHandle: ...
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +93,6 @@ class NoopTracer:
 
     def current_context(self) -> TraceContext | None:
         return None
-
-    def use_context(self, context: TraceContext | None) -> _NoopSpan:
-        return _NOOP_SPAN
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +149,6 @@ class _ActiveSpan:
         else:
             self._attributes.update(attributes)
         return self
-
-
-class _RestoredContext:
-    """Context manager that pins a foreign TraceContext on this thread."""
-
-    __slots__ = ("_tracer", "_context", "_pushed")
-
-    def __init__(self, tracer: "Tracer", context: TraceContext | None) -> None:
-        self._tracer = tracer
-        self._context = context
-        self._pushed = False
-
-    def __enter__(self) -> TraceContext | None:
-        if self._context is not None:
-            self._tracer._push(self._context)
-            self._pushed = True
-        return self._context
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        if self._pushed:
-            self._tracer._pop()
 
 
 class Tracer:
@@ -279,14 +230,6 @@ class Tracer:
         stack = self._local.stack
         return stack[-1] if stack else None
 
-    def use_context(self, context: TraceContext | None) -> _RestoredContext:
-        """Restore a captured context on this thread for a ``with`` block.
-
-        ``None`` (nothing was captured) is accepted and is a no-op, so
-        call sites never need to branch.
-        """
-        return _RestoredContext(self, context)
-
     def _push(self, context: TraceContext) -> None:
         self._local.stack.append(context)
 
@@ -365,16 +308,6 @@ def set_tracer(tracer: TracerLike | None) -> TracerLike:
         if package is not None:
             package.span = _tracer.span  # type: ignore[attr-defined]
     return previous
-
-
-def capture_context() -> TraceContext | None:
-    """Capture the calling thread's context for a thread-pool handoff."""
-    return _tracer.current_context()
-
-
-def use_context(context: TraceContext | None) -> ContextHandle:
-    """Restore a captured context on this thread (``with`` block)."""
-    return _tracer.use_context(context)
 
 
 class tracing:

@@ -32,9 +32,12 @@ from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.parallel import _worker
+
+if TYPE_CHECKING:
+    from repro.tables.model import Table
 
 logger = logging.getLogger("repro.parallel.pool")
 
@@ -74,10 +77,7 @@ class ShardedPool:
 
     ``model_specs`` maps model names to saved-pipeline paths (``.npz``
     archives or directory stores); ``default`` names the model used when
-    an item carries none.  :meth:`submit` and :meth:`shutdown` match
-    the :class:`~repro.serve.batching.BatchingExecutor` executor
-    interface, so the serving layer can swap thread workers for CPU
-    shards.
+    an item carries none.
     """
 
     def __init__(
@@ -166,7 +166,7 @@ class ShardedPool:
             with self._lock:
                 if self._closed:
                     raise WorkerPoolError("pool is shut down")
-                executor = self._executor
+                executor: ProcessPoolExecutor = self._executor
                 try:
                     inner = executor.submit(fn, *args)
                 except BrokenProcessPool:
@@ -247,22 +247,19 @@ class ShardedPool:
             pass  # the caller cancelled while this task finished
 
     # ------------------------------------------------------------------
-    # executor interface (serve --procs)
+    # one table (serve --procs)
     # ------------------------------------------------------------------
-    def submit(self, item: tuple) -> Future:
-        """Submit one ``(model, table, ...)`` item; returns a Future of
-        its record, keyed exactly like the thread backend's.
+    def submit(self, table: Table, *, model: str = "") -> Future:
+        """Submit one table; returns a Future of its record, keyed
+        exactly like a thread-mode service reply.
 
         The table ships as a one-item chunk to the same worker entry as
         :meth:`submit_tables`.  An unknown model fails the Future with
         the worker's :class:`KeyError`; a table that fails to classify
-        fails it with :class:`RuntimeError`.  Extra tuple elements (the
-        thread path's trace context) are ignored — cross-process trace
-        continuity is handled by the per-worker trace files instead.
+        fails it with :class:`RuntimeError`.
         """
         from repro.connectors.chunks import SourceItem
 
-        model, table = item[0], item[1]
         return self._submit(
             _worker.classify_stream_chunk, model,
             [SourceItem(source="", table=table)],
@@ -345,8 +342,8 @@ class ShardedPool:
     ) -> None:
         """Serve ``model_specs`` from fresh workers; drain the old ones.
 
-        A new worker has loaded every model before the new executor is
-        swapped in under the lock :meth:`_submit` takes; tasks already
+        Every new worker has loaded every model before the new executor
+        is swapped in under the lock :meth:`_submit` takes; tasks already
         on the old workers finish there.  A store the new workers cannot
         load raises :class:`WorkerPoolError` and the old workers keep
         serving.
@@ -354,7 +351,14 @@ class ShardedPool:
         initargs = self._initargs_for(model_specs, default)
         fresh = self._new_executor(initargs)
         try:
-            fresh.submit(_worker.probe_models).result()
+            # One probe per worker, all in flight at once: the executor
+            # spawns a worker per submit while none is idle, so every
+            # worker has loaded the stores before the flip.
+            probes = [
+                fresh.submit(_worker.probe_models) for _ in range(self.procs)
+            ]
+            for probe in probes:
+                probe.result()
         except BrokenProcessPool as exc:
             fresh.shutdown(wait=False)
             raise WorkerPoolError(

@@ -10,19 +10,18 @@ pipelines warm and amortizes work across requests:
 * :mod:`repro.serve.cache` — a thread-safe LRU result cache keyed by
   :meth:`~repro.tables.model.Table.content_hash`, so repeated tables
   skip Algorithm 1 entirely.
-* :mod:`repro.serve.batching` — a request queue with micro-batching
-  (max size + max latency deadline) over a thread worker pool.
 * :mod:`repro.serve.metrics` — request counters, cache hit ratio, and
   latency quantiles rendered in Prometheus text format.
 * :mod:`repro.serve.httpd` — the stdlib HTTP front-end
   (``POST /classify``, ``POST /classify/batch``, ``GET /healthz``,
-  ``GET /metrics``) with graceful drain on shutdown.
+  ``GET /metrics``) with graceful drain on shutdown; a request
+  classifies on its own handler thread, or on a
+  :class:`~repro.parallel.pool.ShardedPool` with ``--procs``.
 * :mod:`repro.serve.bulk` — the offline bulk path (``repro batch``,
   on the streaming plane of :mod:`repro.connectors`) and the record
   and result-cache helpers every classify path shares.
 """
 
-from repro.serve.batching import BatchingConfig, BatchingExecutor
 from repro.serve.bulk import table_from_path
 from repro.serve.cache import LRUCache
 from repro.serve.httpd import ClassificationService, make_server
@@ -30,8 +29,6 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.registry import ModelRegistry
 
 __all__ = [
-    "BatchingConfig",
-    "BatchingExecutor",
     "ClassificationService",
     "LRUCache",
     "ModelRegistry",

@@ -17,7 +17,7 @@ import json
 import logging
 import weakref
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 from repro.core.pipeline import MetadataPipeline
 from repro.serve.cache import LRUCache
@@ -152,31 +152,6 @@ def _pipeline_cache_token(pipeline: MetadataPipeline) -> int:
     return token
 
 
-def classify_cached(
-    pipeline: MetadataPipeline,
-    table: Table,
-    cache: LRUCache | None,
-    *,
-    model: str = "",
-) -> tuple[TableAnnotation, bool]:
-    """Classify through the result cache; returns ``(annotation, hit)``.
-
-    Keys carry ``(model, pipeline token, content hash)`` — the pipeline
-    token makes entries from a different pipeline object unreachable
-    even when the model name collides (see
-    :func:`_pipeline_cache_token`).
-    """
-    if cache is None:
-        return pipeline.classify(table), False
-    key = (model, _pipeline_cache_token(pipeline), table.content_hash())
-    annotation = cache.get(key)
-    if annotation is not None:
-        return annotation, True
-    annotation = pipeline.classify(table)
-    cache.put(key, annotation)
-    return annotation, False
-
-
 def classify_tables_cached(
     pipeline: MetadataPipeline,
     tables: Sequence[Table],
@@ -184,9 +159,14 @@ def classify_tables_cached(
     *,
     model: str = "",
 ) -> list[tuple[TableAnnotation | Exception, bool]]:
-    """Batch form of :func:`classify_cached`: one fused shard per batch.
+    """Classify through the result cache as one fused shard; returns one
+    ``(annotation, hit)`` pair per table.
 
-    Cache hits resolve up front; the misses classify together through
+    Keys carry ``(model, pipeline token, content hash)`` — the pipeline
+    token makes entries from a different pipeline object unreachable
+    even when the model name collides (see
+    :func:`_pipeline_cache_token`).  Cache hits resolve up front; the
+    misses classify together through
     :meth:`~repro.core.pipeline.MetadataPipeline.classify_corpus` — the
     fused corpus path when the classifier allows it — so a bulk run
     pays per-shard, not per-table, Python overhead.  Per-item isolation
@@ -236,20 +216,6 @@ def classify_tables_cached(
         r if r is not None else (RuntimeError("table was not classified"), False)
         for r in results
     ]
-
-
-def write_jsonl(records: Sequence[dict], out: str | Path | IO[str]) -> int:
-    """Write one JSON document per line; returns the record count."""
-    if hasattr(out, "write"):
-        stream: IO[str] = out  # type: ignore[assignment]
-        for record in records:
-            stream.write(json.dumps(record) + "\n")
-        return len(records)
-    path = Path(out)
-    with path.open("w") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-    return len(records)
 
 
 def run_bulk(

@@ -18,7 +18,7 @@ Endpoints:
 
 :class:`ClassificationService` is the transport-independent core: it
 owns the registry, the LRU result cache, the metrics, and the
-execution backend — a micro-batching thread pool by default, or a
+execution backend — the request's own handler thread by default, or a
 :class:`~repro.parallel.pool.ShardedPool` of worker processes with
 ``procs``.  The HTTP layer just parses bodies and serializes records,
 so tests (and future transports) can drive the service directly.
@@ -37,14 +37,14 @@ from typing import TYPE_CHECKING, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future
-
     from repro.parallel.pool import ShardedPool
 
 from repro import obs
-from repro.core.pipeline import MetadataPipeline
-from repro.serve.batching import BatchingConfig, BatchingExecutor
-from repro.serve.bulk import classify_cached, result_record, table_from_text
+from repro.serve.bulk import (
+    classify_tables_cached,
+    result_record,
+    table_from_text,
+)
 from repro.serve.cache import LRUCache
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.registry import ModelRegistry
@@ -58,27 +58,31 @@ class BadRequest(ValueError):
 
 
 class ClassificationService:
-    """Warm models + cache + metrics + micro-batched worker pool.
+    """Warm models + cache + metrics + the execution backend.
 
-    ``procs`` switches the execution backend from the in-process thread
-    pool to a :class:`~repro.parallel.pool.ShardedPool` of worker
-    *processes* (each with its own warm copy of the models — shared via
-    the OS page cache for directory stores).  Threads overlap I/O only;
-    processes shard the classification math itself across CPUs.  In
-    procs mode results are cached per worker process, so the parent has
-    no ``cache``; the cache metrics count each record's ``cached`` flag
-    instead.  The constructor spawns every worker and returns once one
-    probe per worker has come back, so a server bound after it serves
-    its first request without a spawn or a store load.  A killed
-    worker process heals inside the pool: its in-flight requests are
-    resubmitted to a rebuilt pool.
+    By default a request classifies on the thread that handles it (the
+    HTTP server already runs one thread per connection): the table goes
+    through the result cache and one fused shard
+    (:func:`~repro.serve.bulk.classify_tables_cached`), and a
+    ``/classify/batch`` body is one shard for all its tables.
+
+    ``procs`` switches the backend to a
+    :class:`~repro.parallel.pool.ShardedPool` of worker *processes*
+    (each with its own warm copy of the models — shared via the OS page
+    cache for directory stores), which shards the classification math
+    itself across CPUs.  In procs mode results are cached per worker
+    process, so the parent has no ``cache``; the cache metrics count
+    each record's ``cached`` flag instead.  The constructor spawns
+    every worker and returns once one probe per worker has come back,
+    so a server bound after it serves its first request without a spawn
+    or a store load.  A killed worker process heals inside the pool:
+    its in-flight requests are resubmitted to a rebuilt pool.
     """
 
     def __init__(
         self,
         registry: ModelRegistry,
         *,
-        batching: BatchingConfig | None = None,
         cache_capacity: int = 4096,
         metrics: ServiceMetrics | None = None,
         procs: int | None = None,
@@ -97,14 +101,12 @@ class ClassificationService:
         )
         self._worker_caches = procs is not None and cache_capacity > 0
         self.procs = procs
-        self.workers = (batching or BatchingConfig()).workers
         for name in registry.names():
             # add_stage_hook composes with hooks the caller installed
             # (e.g. a tracing or bulk-metrics subscriber) instead of
             # clobbering them; see MetadataPipeline.add_stage_hook.
             registry.get(name).add_stage_hook(self.metrics.observe_stage)
         self._pool: "ShardedPool | None" = None
-        self._executor: "BatchingExecutor | ShardedPool"
         # Serializes reloads so the registry and the worker pool flip
         # in the same order.
         self._reload_lock = threading.Lock()
@@ -122,11 +124,6 @@ class ClassificationService:
             except BaseException:  # stop-then-reraise: nothing is swallowed
                 self._pool.shutdown(drain=False)
                 raise
-            self._executor = self._pool
-        else:
-            self._executor = BatchingExecutor(
-                self._handle_batch, batching, on_batch=self._record_batch
-            )
         self._closed = False
 
     def _model_specs(self) -> dict[str, str]:
@@ -144,77 +141,53 @@ class ClassificationService:
             specs[name] = str(path)
         return specs
 
-    def _record_batch(self, size: int) -> None:
-        self.metrics.inc("batches_total")
-        self.metrics.inc("batch_items_total", size)
-
     # ------------------------------------------------------------------
     # classification
     # ------------------------------------------------------------------
-    def _handle_batch(
-        self, items: list[tuple[str, Table, obs.TraceContext | None]]
-    ) -> list[object]:
-        # Each item is handled independently: an exception instance in
-        # the result list fails only that item's future (see
-        # BatchingExecutor), so one bad model name or pathological table
-        # can't poison unrelated requests sharing the micro-batch.
-        #
-        # The third tuple element is the trace context captured on the
-        # submitting thread; restoring it here re-parents the per-item
-        # span (and everything the pipeline emits under it) to the
-        # request's trace across the thread-pool boundary.
-        out: list[object] = []
-        # Resolve each distinct model name once per batch, not once per
-        # item — registry lookups take the registry lock, and a batch is
-        # usually all one model.
-        resolved_models: dict[str, tuple[str, MetadataPipeline]] = {}
-        for model_name, table, ctx in items:
-            with obs.use_context(ctx), obs.span(
-                "serve.item", table=table.name
-            ) as item_span:
-                try:
-                    hit_entry = resolved_models.get(model_name)
-                    if hit_entry is None:
-                        pipeline = self.registry.get(model_name or None)
-                        resolved = (
-                            model_name or self.registry.default_name or ""
-                        )
-                        resolved_models[model_name] = (resolved, pipeline)
-                    else:
-                        resolved, pipeline = hit_entry
-                    annotation, hit = classify_cached(
-                        pipeline, table, self.cache, model=resolved
-                    )
-                except Exception as exc:  # noqa: BLE001 - per-item isolation
-                    logger.warning("classification failed for %r: %s",
-                                   table.name, exc)
-                    out.append(exc)
-                    continue
-                item_span.set(model=resolved, cached=hit)
-            out.append(
-                result_record(table, annotation, model=resolved, cached=hit)
-            )
-        return out
-
     def classify_table(self, table: Table, *, model: str = "") -> dict:
-        """Classify one table through the queue; blocks for the result.
-
-        The caller's trace context is captured here and travels with the
-        item, so spans recorded on the worker thread stay children of
-        the submitting request's trace.
-        """
-        ctx = obs.capture_context()
-        return self._record(self._executor.submit((model, table, ctx)))
+        """Classify one table; an unknown ``model`` raises ``KeyError``."""
+        if self._pool is not None:
+            return self._count_worker_cache(
+                self._pool.submit(table, model=model).result()
+            )
+        with obs.span("serve.item", table=table.name) as item_span:
+            (record,) = self._classify_here([table], model)
+            item_span.set(model=record.get("model", ""), cached=record["cached"])
+        return record
 
     def classify_many(
         self, tables: Sequence[Table], *, model: str = ""
     ) -> list[dict]:
-        ctx = obs.capture_context()
-        futures = [self._executor.submit((model, t, ctx)) for t in tables]
-        return [self._record(f) for f in futures]
+        """Classify a batch: one fused shard, or one task per table
+        across the worker processes with ``procs``."""
+        if self._pool is not None:
+            futures = [self._pool.submit(t, model=model) for t in tables]
+            return [self._count_worker_cache(f.result()) for f in futures]
+        return self._classify_here(tables, model)
 
-    def _record(self, future: "Future[dict]") -> dict:
-        record = future.result()
+    def _classify_here(self, tables: Sequence[Table], model: str) -> list[dict]:
+        # The first table that failed to classify fails the request;
+        # classify_tables_cached has already isolated it from the rest
+        # of the shard.
+        if self._closed:
+            raise RuntimeError("service is closed")
+        pipeline = self.registry.get(model or None)
+        resolved = model or self.registry.default_name or ""
+        results = classify_tables_cached(
+            pipeline, tables, self.cache, model=resolved
+        )
+        records = []
+        for table, (annotation, hit) in zip(tables, results):
+            if isinstance(annotation, Exception):
+                logger.warning("classification failed for %r: %s",
+                               table.name, annotation)
+                raise annotation
+            records.append(
+                result_record(table, annotation, model=resolved, cached=hit)
+            )
+        return records
+
+    def _count_worker_cache(self, record: dict) -> dict:
         if self._worker_caches:
             self.metrics.inc(
                 "cache_hits_total" if record["cached"] else "cache_misses_total"
@@ -268,7 +241,6 @@ class ClassificationService:
             self.metrics.merge_stage_totals(self._pool.drain_stage_totals())
         extra: dict[str, float] = {
             "models_loaded": len(self.registry),
-            "workers": self.workers,
             "procs": self.procs if self.procs is not None else 0,
         }
         if self.cache is not None:
@@ -295,10 +267,12 @@ class ClassificationService:
         }
 
     def close(self) -> None:
-        """Drain in-flight requests, then stop the worker pool."""
+        """Refuse new classify calls; with ``procs``, drain the worker
+        pool.  The HTTP layer drains its in-flight requests first."""
         if not self._closed:
             self._closed = True
-            self._executor.shutdown(drain=True)
+            if self._pool is not None:
+                self._pool.shutdown(drain=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Service metrics with Prometheus text rendering.
 
 Everything is in-process and lock-guarded: monotonically increasing
-counters, per-stage timing accumulators (fed by the pipeline's
-``stage_hook``), and a fixed-size ring buffer of recent request
+counters, per-stage timing accumulators (fed by the pipeline's stage
+hooks), and a fixed-size ring buffer of recent request
 latencies from which p50/p95 are computed on scrape.  ``render()``
 emits the Prometheus `text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ so a
@@ -80,8 +80,7 @@ class ServiceMetrics:
 
     Counter keys are ``(name, frozen-labels)`` pairs; stage timings
     accumulate ``sum``/``count`` per stage name.  A single instance is
-    shared by the HTTP front-end, the batching executor, and the bulk
-    path.
+    shared by the HTTP front-end and the bulk path.
     """
 
     def __init__(self, ring_size: int = 1024) -> None:
@@ -115,7 +114,7 @@ class ServiceMetrics:
             return self._gauges.get(name, default)
 
     def observe_stage(self, stage: str, seconds: float) -> None:
-        """Pipeline ``stage_hook`` adapter — accumulate per-stage time."""
+        """Pipeline stage-hook adapter — accumulate per-stage time."""
         with self._lock:
             self._stage_sum[stage] = self._stage_sum.get(stage, 0.0) + seconds
             self._stage_count[stage] = self._stage_count.get(stage, 0) + 1

@@ -186,6 +186,32 @@ class C:
     assert _run({"src/app/c.py": source}, "lock-reacquire-via-call") == []
 
 
+def test_foreign_annotated_local_is_not_resolved_by_method_name():
+    # ``executor`` is a stdlib pool; its ``submit`` must not resolve to
+    # the program's only ``submit`` method and fake a reacquire.
+    source = '''
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
+class Pool:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = ProcessPoolExecutor()
+
+    def submit(self, fn):
+        return self._dispatch(fn)
+
+    def _dispatch(self, fn):
+        with self._lock:
+            executor: ProcessPoolExecutor = self._executor
+            return executor.submit(fn)
+'''
+    assert _run({"src/app/pool.py": source}, "lock-reacquire-via-call") == []
+    # Unannotated, the unique-name fallback still links the call.
+    unannotated = source.replace(": ProcessPoolExecutor = ", " = ")
+    assert len(_run({"src/app/pool.py": unannotated}, "lock-reacquire-via-call")) == 1
+
+
 # ---------------------------------------------------------------------------
 # lock-held-call-acquires (observe-only)
 # ---------------------------------------------------------------------------

@@ -99,18 +99,23 @@ class TestChromeTrace:
 
         tracer = Tracer()
 
-        def worker(ctx):
-            with tracer.use_context(ctx):
-                with tracer.span("item"):
+        def worker(trace_id):
+            with tracer.span("item", trace_id=trace_id):
+                with tracer.span("step"):
                     pass
 
         with tracer.span("request-a") as a:
-            ctx_a = a.context()
+            pass
         with tracer.span("request-b") as b:
-            ctx_b = b.context()
-        t = threading.Thread(target=lambda: (worker(ctx_a), worker(ctx_b)))
+            pass
+        t = threading.Thread(
+            target=lambda: (worker(a.trace_id), worker(b.trace_id))
+        )
         t.start()
         t.join()
+        items = [s for s in tracer.spans() if s.name == "item"]
+        assert {s.trace_id for s in items} == {a.trace_id, b.trace_id}
+        assert len({s.thread_id for s in items}) == 1
         events = obs.chrome_trace_events(tracer.spans())
         _nesting_check(events)
 

@@ -141,18 +141,6 @@ class TestStageHookCompose:
         assert first == second
         assert "classify" in first
 
-    def test_legacy_setter_still_works(self, hashed_pipeline, ckg_eval):
-        calls: list[str] = []
-        hook = lambda stage, seconds: calls.append(stage)  # noqa: E731
-        hashed_pipeline.stage_hook = hook
-        try:
-            assert hashed_pipeline.stage_hook is hook
-            hashed_pipeline.classify(ckg_eval[0].table)
-        finally:
-            hashed_pipeline.stage_hook = None
-        assert "classify" in calls
-        assert hashed_pipeline.stage_hook is None
-
     def test_add_is_idempotent(self, hashed_pipeline):
         calls: list[str] = []
         hook = lambda stage, seconds: calls.append(stage)  # noqa: E731

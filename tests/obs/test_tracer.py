@@ -98,31 +98,6 @@ class TestThreads:
         assert worker_span.parent_id is None
         assert worker_span.trace_id != main_span.trace_id
 
-    def test_capture_and_use_context_cross_thread(self):
-        tracer = Tracer()
-        recorded = []
-
-        def worker(ctx):
-            with tracer.use_context(ctx):
-                with tracer.span("worker") as span:
-                    recorded.append(span)
-
-        with tracer.span("main") as main_span:
-            ctx = tracer.current_context()
-            t = threading.Thread(target=worker, args=(ctx,))
-            t.start()
-            t.join()
-        worker_span = recorded[0]
-        assert worker_span.trace_id == main_span.trace_id
-        assert worker_span.parent_id == main_span.span_id
-
-    def test_use_context_none_is_noop(self):
-        tracer = Tracer()
-        with tracer.use_context(None):
-            with tracer.span("orphan") as span:
-                pass
-        assert span.parent_id is None
-
     def test_concurrent_traces_stay_separate(self):
         tracer = Tracer()
         barrier = threading.Barrier(4)
@@ -173,19 +148,6 @@ class TestGlobalTracer:
             obs.set_tracer(previous)
         assert [s.name for s in tracer.spans()] == ["via-alias"]
 
-    def test_capture_context_through_module_functions(self):
-        with obs.tracing() as tracer:
-            with obs.span("outer") as outer:
-                ctx = obs.capture_context()
-            with obs.use_context(ctx):
-                with obs.span("adopted") as adopted:
-                    pass
-        assert ctx is not None
-        assert ctx.span_id == outer.span_id
-        assert adopted.parent_id == outer.span_id
-        assert adopted.trace_id == outer.trace_id
-        assert len(tracer.spans()) == 2
-
 
 class TestNoop:
     def test_noop_span_is_reentrant_singleton(self):
@@ -199,8 +161,6 @@ class TestNoop:
     def test_noop_context_is_none(self):
         tracer = NoopTracer()
         assert tracer.current_context() is None
-        with tracer.use_context(None):
-            pass
 
     def test_max_spans_validation(self):
         with pytest.raises(ValueError):

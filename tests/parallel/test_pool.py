@@ -95,21 +95,21 @@ class TestMapPaths:
 
 class TestServeInterface:
     def test_submit_and_map(self, pool):
-        record = pool.submit(("m", make_table(40))).result()
+        record = pool.submit(make_table(40), model="m").result()
         assert record["name"] == "t040"
         futures = [
-            pool.submit(("m", make_table(41))),
-            pool.submit(("", make_table(42))),
+            pool.submit(make_table(41), model="m"),
+            pool.submit(make_table(42)),
         ]
         assert [f.result()["name"] for f in futures] == ["t041", "t042"]
 
     def test_item_error_becomes_future_exception(self, pool):
-        future = pool.submit(("missing-model", make_table(1)))
+        future = pool.submit(make_table(1), model="missing-model")
         with pytest.raises(KeyError, match="missing-model"):
             future.result()
 
     def test_drain_stage_totals(self, pool):
-        pool.submit(("m", make_table(50))).result()
+        pool.submit(make_table(50), model="m").result()
         totals = pool.drain_stage_totals()
         assert totals["classify"][1] >= 1
         # draining resets the accumulator
@@ -146,14 +146,14 @@ class TestFailureModes:
             with pytest.raises(WorkerPoolError, match="crash_worker"):
                 poison.result(timeout=120)
             assert crash_pool.rebuilds == 3
-            record = crash_pool.submit(("m", make_table(7))).result(timeout=120)
+            record = crash_pool.submit(make_table(7), model="m").result(timeout=120)
             assert record["name"] == "t007"
 
     def test_reload_to_unloadable_store_keeps_serving(self, model_dir, tmp_path):
         with ShardedPool({"m": model_dir}, procs=1) as p:
             with pytest.raises(WorkerPoolError):
                 p.reload({"m": tmp_path / "missing"})
-            record = p.submit(("m", make_table(8))).result(timeout=120)
+            record = p.submit(make_table(8), model="m").result(timeout=120)
             assert record["name"] == "t008"
             assert p.rebuilds == 0
 
@@ -161,7 +161,7 @@ class TestFailureModes:
         p = ShardedPool({"m": model_dir}, procs=1)
         p.shutdown()
         with pytest.raises(WorkerPoolError):
-            p.submit(("m", make_table(1)))
+            p.submit(make_table(1), model="m")
 
     def test_rejects_empty_specs(self):
         with pytest.raises(ValueError):
@@ -186,7 +186,7 @@ class TestNumpyPayloads:
             report = p.probe_workers()[0]
             # npz archives decompress to plain in-memory arrays
             assert report["z"]["meta_ref_memmap"] is False
-            record = p.submit(("z", make_table(7))).result()
+            record = p.submit(make_table(7), model="z").result()
             assert isinstance(record["hmd_depth"], int)
             assert isinstance(record["row_labels"], list)
             assert not isinstance(record["row_labels"][0], np.ndarray)

@@ -3,18 +3,15 @@ result-cache helpers, and bulk runs on the streaming plane."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.connectors.pipelined import run_streaming
 from repro.connectors.sources import build_sources, expand_path_specs
 from repro.serve.bulk import (
-    classify_cached,
+    classify_tables_cached,
     result_record,
     table_from_path,
     table_from_text,
-    write_jsonl,
 )
 from repro.serve.cache import LRUCache
 from repro.serve.metrics import ServiceMetrics
@@ -131,17 +128,23 @@ class TestTableLoading:
         assert table_from_path(path).rows == (("x", "y"), ("1", "2"))
 
 
+def _classify_one(pipeline, table, cache, *, model=""):
+    """One table through the result-cache front: ``(annotation, hit)``."""
+    (outcome,) = classify_tables_cached(pipeline, [table], cache, model=model)
+    return outcome
+
+
 class TestClassifyCached:
     def test_second_call_hits(self, hashed_pipeline, ckg_eval):
         cache = LRUCache(8)
         table = ckg_eval[0].table
-        first, hit1 = classify_cached(hashed_pipeline, table, cache)
-        second, hit2 = classify_cached(hashed_pipeline, table, cache)
+        first, hit1 = _classify_one(hashed_pipeline, table, cache)
+        second, hit2 = _classify_one(hashed_pipeline, table, cache)
         assert (hit1, hit2) == (False, True)
         assert first.row_labels == second.row_labels
 
     def test_no_cache_passthrough(self, hashed_pipeline, ckg_eval):
-        annotation, hit = classify_cached(
+        annotation, hit = _classify_one(
             hashed_pipeline, ckg_eval[0].table, None
         )
         assert not hit
@@ -152,10 +155,10 @@ class TestClassifyCached:
         registered model names must resolve independently."""
         cache = LRUCache(16)
         table = ckg_eval[0].table
-        _, hit_a = classify_cached(hashed_pipeline, table, cache, model="a")
-        _, hit_b = classify_cached(hashed_pipeline, table, cache, model="b")
+        _, hit_a = _classify_one(hashed_pipeline, table, cache, model="a")
+        _, hit_b = _classify_one(hashed_pipeline, table, cache, model="b")
         assert (hit_a, hit_b) == (False, False)
-        assert classify_cached(
+        assert _classify_one(
             hashed_pipeline, table, cache, model="a"
         )[1] is True
 
@@ -173,28 +176,26 @@ class TestClassifyCached:
         ).fit([item.table for item in ckg_eval[:12]])
         cache = LRUCache(16)
         table = ckg_eval[0].table
-        first, hit1 = classify_cached(
+        first, hit1 = _classify_one(
             hashed_pipeline, table, cache, model="m"
         )
-        second, hit2 = classify_cached(other, table, cache, model="m")
+        second, hit2 = _classify_one(other, table, cache, model="m")
         assert (hit1, hit2) == (False, False)
         assert second == other.classify(table)
         # Each pipeline still hits its own entries afterwards.
-        assert classify_cached(hashed_pipeline, table, cache, model="m") == (
+        assert _classify_one(hashed_pipeline, table, cache, model="m") == (
             first, True
         )
-        assert classify_cached(other, table, cache, model="m") == (
+        assert _classify_one(other, table, cache, model="m") == (
             second, True
         )
 
 
 class TestClassifyTablesCached:
     def test_mixed_hits_and_misses(self, hashed_pipeline, ckg_eval):
-        from repro.serve.bulk import classify_tables_cached
-
         tables = [item.table for item in ckg_eval[:4]]
         cache = LRUCache(16)
-        classify_cached(hashed_pipeline, tables[0], cache)
+        _classify_one(hashed_pipeline, tables[0], cache)
         outcomes = classify_tables_cached(hashed_pipeline, tables, cache)
         assert len(outcomes) == len(tables)
         assert [hit for _, hit in outcomes] == [True, False, False, False]
@@ -202,7 +203,6 @@ class TestClassifyTablesCached:
             assert annotation == hashed_pipeline.classify(table)
 
     def test_failing_table_is_isolated(self, hashed_pipeline, ckg_eval):
-        from repro.serve.bulk import classify_tables_cached
         from repro.tables.model import Table
 
         good = ckg_eval[0].table
@@ -267,19 +267,6 @@ class TestClassifyPaths:
 
 
 class TestOutput:
-    def test_write_jsonl_path_and_stream(self, tmp_path):
-        records = [{"a": 1}, {"b": 2}]
-        out = tmp_path / "r.jsonl"
-        assert write_jsonl(records, out) == 2
-        lines = out.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == records
-
-        import io
-
-        buffer = io.StringIO()
-        write_jsonl(records, buffer)
-        assert buffer.getvalue().count("\n") == 2
-
     def test_result_record_shape(self, hashed_pipeline, ckg_eval):
         table = ckg_eval[0].table
         annotation = hashed_pipeline.classify(table)
@@ -327,8 +314,8 @@ class TestCorpusStageHook:
             PipelineConfig(embedding="hashed", use_contrastive=False)
         ).fit(ckg_train[:15])
         stages: list[tuple[str, float]] = []
-        pipeline.stage_hook = lambda stage, seconds: stages.append(
-            (stage, seconds)
+        pipeline.add_stage_hook(
+            lambda stage, seconds: stages.append((stage, seconds))
         )
         tables = [item.table for item in ckg_eval[:5]]
         annotations = pipeline.classify_corpus(tables)

@@ -17,18 +17,14 @@ import urllib.request
 
 import pytest
 
-from repro.serve.batching import BatchingConfig
+from repro import obs
 from repro.serve.httpd import ClassificationService, make_server
 from repro.tables.csvio import table_to_csv
 
 
 @pytest.fixture
 def service(registry):
-    svc = ClassificationService(
-        registry,
-        batching=BatchingConfig(workers=2, max_delay=0.002),
-        cache_capacity=128,
-    )
+    svc = ClassificationService(registry, cache_capacity=128)
     yield svc
     svc.close()
 
@@ -63,9 +59,7 @@ def procs_service(registry):
 def backend_url(request, registry):
     """A served service on the thread backend, then on ``procs=1``."""
     svc = ClassificationService(
-        registry,
-        batching=BatchingConfig(workers=2, max_delay=0.002),
-        procs=1 if request.param == "procs" else None,
+        registry, procs=1 if request.param == "procs" else None
     )
     try:
         with _serving(svc) as url:
@@ -144,6 +138,30 @@ class TestClassifyEndpoint:
                 str(l) for l in direct.row_labels
             ]
 
+    def test_batch_endpoint_is_one_fused_shard(self, base_url, ckg_eval):
+        tables = [item.table for item in ckg_eval[6:10]]
+        bodies = [
+            {"name": f"b{i}", "rows": [list(r) for r in t.rows]}
+            for i, t in enumerate(tables)
+        ]
+        with obs.tracing() as tracer:
+            payload = _post(
+                f"{base_url}/classify/batch",
+                json.dumps({"tables": bodies}).encode(),
+                "application/json",
+            )
+        shards = [s for s in tracer.spans() if s.name == "classify"]
+        assert [s.attributes["n_tables"] for s in shards] == [len(tables)]
+        for record, body in zip(payload["results"], bodies):
+            single = _post(
+                f"{base_url}/classify", json.dumps(body).encode(),
+                "application/json",
+            )
+            assert record.keys() == single.keys()
+            record.pop("cached")
+            single.pop("cached")
+            assert record == single
+
 
 class TestObservability:
     def test_healthz(self, base_url):
@@ -208,25 +226,18 @@ class TestErrors:
         assert "nope" not in metrics
         assert "scan" not in metrics
 
-    def test_bad_model_does_not_poison_batchmates(self, registry, ckg_eval):
-        # A big deadline + one worker so both requests share a batch:
-        # the unknown-model item must fail alone, not its batchmate.
-        svc = ClassificationService(
-            registry,
-            batching=BatchingConfig(
-                workers=1, max_batch_size=8, max_delay=0.2
-            ),
-        )
-        try:
-            table = ckg_eval[0].table
-            bad = svc._executor.submit(("ghost", table, None))
-            good = svc._executor.submit(("", table, None))
+    def test_bad_model_does_not_poison_batchmates(self, service, ckg_eval):
+        # Two concurrent requests: the unknown-model one fails alone,
+        # its neighbour still gets labels.
+        from concurrent.futures import ThreadPoolExecutor
+
+        table = ckg_eval[0].table
+        with ThreadPoolExecutor(max_workers=2) as clients:
+            bad = clients.submit(service.classify_table, table, model="ghost")
+            good = clients.submit(service.classify_table, table)
             with pytest.raises(KeyError, match="ghost"):
                 bad.result(timeout=10)
-            record = good.result(timeout=10)
-            assert record["row_labels"]
-        finally:
-            svc.close()
+            assert good.result(timeout=10)["row_labels"]
 
     def test_bad_batch_payload_is_400(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -246,15 +257,15 @@ class TestServiceDirect:
             ClassificationService(ModelRegistry())
 
     def test_close_drains(self, registry, ckg_eval):
-        svc = ClassificationService(
-            registry, batching=BatchingConfig(workers=2)
-        )
+        svc = ClassificationService(registry)
         records = svc.classify_many(
             [item.table for item in ckg_eval[:8]]
         )
         svc.close()
         assert len(records) == 8
         svc.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            svc.classify_table(ckg_eval[0].table)
 
 
 class TestReadiness:
@@ -273,9 +284,7 @@ class TestReadiness:
     def test_unready_service_answers_503_with_retry_after(
         self, registry
     ):
-        svc = ClassificationService(
-            registry, batching=BatchingConfig(workers=1)
-        )
+        svc = ClassificationService(registry)
         server = make_server(svc, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -296,9 +305,7 @@ class TestReadiness:
             server.server_close()
 
     def test_service_ready_reflects_close(self, registry):
-        svc = ClassificationService(
-            registry, batching=BatchingConfig(workers=1)
-        )
+        svc = ClassificationService(registry)
         assert svc.ready() is True
         svc.close()
         assert svc.ready() is False
@@ -406,6 +413,24 @@ class TestProcsBackend:
         assert _metric(metrics, "repro_cache_misses_total") == 1
         assert _metric(metrics, "repro_cache_hit_ratio") == pytest.approx(2 / 3)
         assert "repro_cache_size" not in metrics
+
+    def test_reload_warms_every_worker(self, registry, tmp_path, ckg_eval):
+        # Like construction, a reload probes every fresh worker before
+        # the flip, so no request after it waits for a spawn.
+        from repro.core.persistence import save_pipeline
+
+        archive = save_pipeline(registry.get("default"), tmp_path / "v2.npz")
+        baseline = {p.pid for p in multiprocessing.active_children()}
+        svc = ClassificationService(registry, procs=2)
+        try:
+            svc.reload(str(archive), name="default")
+            live = {p.pid for p in multiprocessing.active_children()}
+            assert len(live - baseline) == 2
+            svc.classify_table(ckg_eval[1].table)
+            after = {p.pid for p in multiprocessing.active_children()}
+            assert after == live
+        finally:
+            svc.close()
 
     def test_first_request_spawns_no_worker(self, procs_service, ckg_eval):
         # The constructor waited for the workers, so a server bound

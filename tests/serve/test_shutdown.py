@@ -54,7 +54,7 @@ def test_sigterm_drains_and_exits_cleanly(model_archive, sig):
         [
             sys.executable, "-m", "repro", "-v", "serve",
             "--model", str(model_archive),
-            "--port", str(port), "--workers", "2",
+            "--port", str(port),
         ],
         env=env,
         stdout=subprocess.PIPE,

@@ -1,9 +1,8 @@
 """Trace propagation through the serving layer.
 
-The BatchingExecutor severs the thread-local span chain; the service
-captures a TraceContext at submit time and restores it on the worker,
-so a request's spans — including everything the pipeline emits on the
-worker thread — stay in the request's trace.
+A request classifies on the thread that handles it, so the service's
+spans and everything the pipeline emits under them nest in the
+request's trace through the thread-local span chain.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.serve.batching import BatchingConfig
 from repro.serve.httpd import ClassificationService, make_server
 from repro.serve.metrics import ServiceMetrics
 from repro.tables.csvio import table_to_csv
@@ -25,10 +23,7 @@ from repro.tables.csvio import table_to_csv
 
 @pytest.fixture
 def service(registry):
-    svc = ClassificationService(
-        registry,
-        batching=BatchingConfig(workers=2, max_batch_size=4, max_delay=0.01),
-    )
+    svc = ClassificationService(registry)
     yield svc
     svc.close()
 
@@ -40,14 +35,16 @@ class TestContextPropagation:
             with obs.span("request", trace_id="req-42"):
                 service.classify_table(table)
         spans = tracer.spans()
-        item = next(s for s in spans if s.name == "serve.item")
-        assert item.trace_id == "req-42"
-        # the pipeline's spans on the worker thread belong to the trace too
-        classify = next(s for s in spans if s.name == "classify")
-        assert classify.trace_id == "req-42"
-        # ... even though they ran on a different thread
         request = next(s for s in spans if s.name == "request")
-        assert item.thread_id != request.thread_id
+        item = next(s for s in spans if s.name == "serve.item")
+        classify = next(s for s in spans if s.name == "classify")
+        # serve.item is the request's child, and the pipeline's spans
+        # nest under it: one trace, all on the request's thread.
+        assert item.parent_id == request.span_id
+        assert classify.parent_id == item.span_id
+        for span in (item, classify):
+            assert span.trace_id == "req-42"
+            assert span.thread_id == request.thread_id
 
     def test_serve_item_attributes(self, service, ckg_eval):
         table = ckg_eval[0].table
@@ -59,8 +56,7 @@ class TestContextPropagation:
         assert all(s.attributes["model"] == "default" for s in items)
 
     def test_concurrent_requests_never_share_spans(self, service, ckg_eval):
-        """Distinct client requests keep distinct traces even when their
-        items land in the same micro-batch on the same worker."""
+        """Concurrent client requests keep distinct traces."""
         tables = [item.table for item in ckg_eval[:6]]
         trace_ids = [f"req-{i}" for i in range(len(tables))]
         barrier = threading.Barrier(len(tables))
@@ -91,10 +87,6 @@ class TestContextPropagation:
         for s in spans:
             if s.name in ("classify", "fused.aggregate", "serve.item"):
                 assert s.trace_id in trace_ids, s.name
-        # batch spans are their own roots, never part of a request trace
-        for s in spans:
-            if s.name == "serve.batch":
-                assert s.trace_id not in trace_ids
 
     def test_untraced_requests_still_work(self, service, ckg_eval):
         record = service.classify_table(ckg_eval[0].table)

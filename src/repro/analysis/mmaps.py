@@ -16,9 +16,9 @@ Taint sources:
   conservatively — it *may* be mmap at runtime);
 * any assignment whose line carries a ``# mmap-backed`` comment — the
   human annotation for arrays that arrive memory-mapped through an
-  indirection the dataflow cannot see (directory-store lookups, packed
-  vocabulary matrices).  Annotating ``self.x = ...`` taints the
-  attribute for the whole class, program-wide;
+  indirection the dataflow cannot see (directory-store lookups).
+  Annotating ``self.x = ...`` taints the attribute for the whole class,
+  program-wide;
 * a call to a function in the analyzed set whose return value is
   tainted (one level of interprocedural return-taint);
 * subscripts/attribute loads of tainted values.

@@ -150,13 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="destination: *.npz writes a compressed archive, anything "
              "else writes a zero-copy directory store",
     )
-    convert.add_argument(
-        "--pack",
-        choices=("f32", "q8"),
-        help="also embed the packed vocabulary matrix (float32, or int8 "
-             "with per-row scales) for the fused corpus path; requires "
-             "a vocabulary backend (not hashed)",
-    )
 
     trace = commands.add_parser(
         "trace",
@@ -390,15 +383,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     from repro.core.persistence import save_pipeline_dir
 
     pipeline = load_pipeline(args.src)
-    pack = getattr(args, "pack", None)
     if args.dest.endswith(".npz"):
-        written = save_pipeline(pipeline, args.dest, pack=pack)
+        written = save_pipeline(pipeline, args.dest)
         kind = "npz archive"
     else:
-        written = save_pipeline_dir(pipeline, args.dest, pack=pack)
+        written = save_pipeline_dir(pipeline, args.dest)
         kind = "directory store"
-    suffix = f", packed {pack}" if pack else ""
-    print(f"converted {args.src} -> {written} ({kind}{suffix})")
+    print(f"converted {args.src} -> {written} ({kind})")
     return 0
 
 

@@ -151,13 +151,9 @@ def _nonzero(vec: np.ndarray) -> bool:
 class CentroidSamples:
     """The per-table observations :func:`estimate_centroids` pools.
 
-    This is the *map* half of centroid estimation: plain picklable lists
-    and dicts, so shards of the bootstrap corpus can be collected in
-    worker processes and merged in the parent
-    (:func:`merge_centroid_samples`) before :func:`finalize_centroids`
-    turns the pool into a :class:`CentroidSet`.  Merging preserves shard
-    order, so ``merge(collect(shard) for shard in split(corpus))``
-    equals ``collect(corpus)`` exactly for any shard count.
+    :func:`collect_centroid_samples` fills it in corpus order, and
+    :func:`finalize_centroids` turns the pool into a
+    :class:`CentroidSet`.
     """
 
     mde_samples: list[float] = field(default_factory=list)
@@ -173,27 +169,6 @@ class CentroidSamples:
     n_tables: int = 0
 
 
-def merge_centroid_samples(
-    parts: Iterable[CentroidSamples],
-) -> CentroidSamples:
-    """Reduce shard sample pools into one, preserving shard order."""
-    merged = CentroidSamples()
-    for part in parts:
-        merged.mde_samples.extend(part.mde_samples)
-        merged.de_samples.extend(part.de_samples)
-        merged.mde_de_samples.extend(part.mde_de_samples)
-        merged.meta_vectors.extend(part.meta_vectors)
-        merged.data_vectors.extend(part.data_vectors)
-        for depth, values in part.prev_deltas.items():
-            merged.prev_deltas.setdefault(depth, []).extend(values)
-        for depth, values in part.data_deltas.items():
-            merged.data_deltas.setdefault(depth, []).extend(values)
-        for depth, count in part.level_tables.items():
-            merged.level_tables[depth] = merged.level_tables.get(depth, 0) + count
-        merged.n_tables += part.n_tables
-    return merged
-
-
 def collect_centroid_samples(
     embedder: TermEmbedder,
     labeled: Iterable[BootstrapLabels],
@@ -204,11 +179,10 @@ def collect_centroid_samples(
     max_data_levels_per_table: int = 20,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CentroidSamples:
-    """Collect per-table angle samples and level vectors (the map phase).
+    """Collect per-table angle samples and level vectors.
 
-    Iteration order over ``labeled`` is the only order dependency, so
-    sharding the corpus into contiguous chunks and merging the chunk
-    results reproduces the serial pool bit-for-bit.
+    The first half of :func:`estimate_centroids`; the samples keep the
+    iteration order of ``labeled``.
     """
     if axis not in ("rows", "cols"):
         raise ValueError("axis must be 'rows' or 'cols'")
@@ -299,10 +273,9 @@ def finalize_centroids(
 ) -> CentroidSet:
     """Turn a pooled :class:`CentroidSamples` into a :class:`CentroidSet`.
 
-    This is the reduce phase: reference purification, the cross-table
-    pair-sampling fallbacks (single RNG stream seeded from ``seed`` —
-    deliberately run in the parent so the draw sequence is independent of
-    how the corpus was sharded), range trimming, and level statistics.
+    Reference purification, the cross-table pair-sampling fallbacks (one
+    RNG stream seeded from ``seed``), range trimming, and level
+    statistics.
     """
     mde_samples = list(samples.mde_samples)
     de_samples = list(samples.de_samples)
@@ -430,9 +403,8 @@ def estimate_centroids(
     derived from the data, or the sampled ranges silently change
     whenever the corpus grows.
 
-    Implemented as collect + finalize; ``repro.parallel`` runs the
-    collect phase sharded over worker processes and merges, which yields
-    the identical result for any worker count.
+    Implemented as :func:`collect_centroid_samples` followed by
+    :func:`finalize_centroids`.
     """
     samples = collect_centroid_samples(
         embedder,

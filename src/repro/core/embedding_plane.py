@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.aggregate import (
     AggregationConfig,
@@ -51,8 +52,7 @@ def _counts_matmul(
 
     Dense path: bincount the flattened (level, token) pairs into a count
     matrix and matmul.  Large batches go through a scipy COO matrix so
-    the count matrix never materializes densely; without scipy, a
-    scatter-add over the occurrence rows does the same work.
+    the count matrix never materializes densely.
     """
     n_unique = vectors.shape[0]
     if n_levels * n_unique <= _DENSE_COUNT_LIMIT:
@@ -60,12 +60,6 @@ def _counts_matmul(
             level_idx * n_unique + token_idx, minlength=n_levels * n_unique
         ).reshape(n_levels, n_unique)
         return counts.astype(vectors.dtype) @ vectors
-    try:
-        from scipy import sparse
-    except ImportError:  # pragma: no cover - scipy ships with the env
-        out = np.zeros((n_levels, vectors.shape[1]), dtype=vectors.dtype)
-        np.add.at(out, level_idx, vectors[token_idx])
-        return out
     counts = sparse.coo_matrix(
         (np.ones(level_idx.size, dtype=vectors.dtype), (level_idx, token_idx)),
         shape=(n_levels, n_unique),

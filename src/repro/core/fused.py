@@ -35,13 +35,12 @@ walk.  Labels match the level-by-level reference
 sit far from range boundaries in float32; the equivalence suite pins
 this on every embedding backend.
 
-Token vectors resolve two ways: a per-embedder float32 row matrix
-indexed by global token id (:class:`_TokenRowCache` — a warm shard's
-token matrix is one fancy-index gather, and each token vector is held
-there once), or, for stores saved with a packed vocabulary, the
-memory-mapped :class:`repro.embeddings.lookup.PackedVocabulary` rows
-(f32 or int8 with per-row scales), which ``--procs`` workers
-page-share.
+Token vectors come from a per-embedder float32 row matrix indexed by
+global token id (:class:`_TokenRowCache` — a warm shard's token matrix
+is one fancy-index gather, and each token vector is held there once).
+Shards whose token ids lie past :data:`_TOKEN_ROWS_LIMIT`, or that fell
+back to shard-local interning, resolve a compact per-shard
+:func:`token_matrix` instead.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro import obs
 from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
@@ -538,25 +538,11 @@ def _indexed_segment_sum(
     gather indices, so every Def. 8 summation is one direct-CSR matmul
     — no COO sort, and crucially no materialized ``values[indices]``
     intermediate (the corpus-sized gathers dominate memory traffic
-    otherwise).  Without scipy it degrades to gather +
-    ``np.add.reduceat``.  Accumulation dtype follows ``values.dtype``.
+    otherwise).  Accumulation dtype follows ``values.dtype``.
     """
     n = indices.shape[0]
     if n == 0:
         return np.zeros((n_segments, values.shape[1]), dtype=values.dtype)
-    try:
-        from scipy import sparse
-    except ImportError:  # pragma: no cover - scipy ships with the env
-        out = np.zeros((n_segments, values.shape[1]), dtype=values.dtype)
-        occupied = lengths > 0
-        if not np.any(occupied):
-            return out
-        starts = np.zeros(lengths.size, dtype=np.intp)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        out[occupied] = np.add.reduceat(
-            values[indices], starts[occupied], axis=0
-        )
-        return out
     indptr = np.zeros(n_segments + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
     summer = sparse.csr_matrix(
@@ -575,33 +561,10 @@ def token_matrix(
 ) -> np.ndarray:
     """Resolve a token vocabulary by text -> float32 ``(n_tokens, dim)``.
 
-    Prefers the embedder's packed vocabulary matrix when one is attached
-    (known tokens gather from the memory-mapped rows, dequantized when
-    the store was packed ``q8``; OOV tokens fall back to one batched
-    embedder call).
+    The compact fallback of :func:`_token_rows`: one batched embedder
+    call for a shard the row cache cannot back.
     """
-    packed = embedder.packed
-    if packed is None:
-        return embedder.vectors(list(tokens)).astype(np.float32)
-    out = np.zeros((len(tokens), embedder.dim), dtype=np.float32)
-    known_pos: list[int] = []
-    known_ids: list[int] = []
-    oov_pos: list[int] = []
-    for pos, token in enumerate(tokens):
-        token_id = packed.id_of(token)
-        if token_id is None:
-            oov_pos.append(pos)
-        else:
-            known_pos.append(pos)
-            known_ids.append(token_id)
-    if known_pos:
-        out[np.asarray(known_pos, dtype=np.intp)] = packed.rows(
-            np.asarray(known_ids, dtype=np.intp)
-        )
-    if oov_pos:
-        oov_tokens = [tokens[i] for i in oov_pos]
-        out[np.asarray(oov_pos, dtype=np.intp)] = embedder.vectors(oov_tokens)
-    return out
+    return embedder.vectors(list(tokens)).astype(np.float32)
 
 
 def _token_rows(
@@ -612,11 +575,11 @@ def _token_rows(
     ``rows[occ_idx[j]]`` is the vector of token occurrence ``j`` — the
     caller feeds both straight into :func:`_indexed_segment_sum` so the
     per-occurrence matrix never exists.  Fast path: the id-indexed
-    per-embedder row cache with ``occ_idx = pack.occ_toks``; packed
-    stores and shards past the row cache's limits resolve a compact
-    per-shard :func:`token_matrix`.
+    per-embedder row cache with ``occ_idx = pack.occ_toks``; shards past
+    the row cache's limits resolve a compact per-shard
+    :func:`token_matrix`.
     """
-    if pack.token_space == "global" and embedder.packed is None:
+    if pack.token_space == "global":
         full = _row_cache(embedder).ensure(embedder, pack.used_token_ids)
         if full is not None:
             return full, pack.occ_toks

@@ -39,11 +39,7 @@ from repro.core.contrastive import ContrastiveConfig, ContrastiveProjection
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.embeddings.contextual import ContextualConfig, ContextualEncoder
 from repro.embeddings.hashed import HashedEmbedding
-from repro.embeddings.lookup import (
-    PackedVocabulary,
-    TermEmbedder,
-    pack_vocabulary,
-)
+from repro.embeddings.lookup import TermEmbedder
 from repro.embeddings.ppmi import PpmiConfig, PpmiSvdEmbedding
 from repro.embeddings.vocab import Vocabulary
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
@@ -212,20 +208,8 @@ def _load_embedding(state: dict, data: np.lib.npyio.NpzFile):
 # public API
 # ---------------------------------------------------------------------------
 
-def _pipeline_payload(
-    pipeline: MetadataPipeline, *, pack: str | None = None
-) -> tuple[dict, dict]:
-    """``(arrays, state)`` — the format-independent payload of a pipeline.
-
-    ``pack`` additionally resolves the embedder's whole vocabulary into
-    a packed embedding matrix (``"f32"``, or ``"q8"`` for int8 rows with
-    per-row scales) stored as ordinary payload arrays — in a directory
-    store these memory-map like everything else, so ``--procs``
-    workers page-share one physical copy and the fused corpus path
-    gathers token rows without re-resolving through the per-token cache.
-    """
-    if pack not in (None, "f32", "q8"):
-        raise PersistenceError(f"unknown pack kind {pack!r}")
+def _pipeline_payload(pipeline: MetadataPipeline) -> tuple[dict, dict]:
+    """``(arrays, state)`` — the format-independent payload of a pipeline."""
     if not pipeline.is_fitted:
         raise PersistenceError("cannot save an unfitted pipeline")
     # Explicit (not asserts): these hold for any pipeline that went
@@ -279,27 +263,12 @@ def _pipeline_payload(
     state["has_centering"] = centering is not None
 
     _save_embedding(pipeline.embedder.model, arrays, state)
-
-    if pack is not None:
-        try:
-            packed = pack_vocabulary(
-                pipeline.embedder, quantize=pack == "q8"
-            )
-        except ValueError as exc:
-            raise PersistenceError(str(exc)) from exc
-        arrays["packed_rows"] = packed.matrix
-        if packed.scales is not None:
-            arrays["packed_scales"] = packed.scales
-        # Token order is the vocabulary's id order, which state["vocab"]
-        # already records — only the kind needs a state entry.
-        state["packed_kind"] = packed.kind
     return arrays, state
 
 
 #: Classifier keys written by stores saved before the classify planes
 #: merged into one.  They only chose between planes that give identical
-#: labels, so loading drops them; q8 token matrices come from stores
-#: packed with ``repro convert --pack q8``.
+#: labels, so loading drops them.
 _RETIRED_CLASSIFIER_KEYS = frozenset(
     {"vectorized", "fused", "fused_dtype", "fused_quantize"}
 )
@@ -339,19 +308,10 @@ def _assemble_pipeline(state: dict, data: Mapping) -> MetadataPipeline:
     model = _load_embedding(state, data)
     centering = data["centering"] if state["has_centering"] else None  # mmap-backed
     embedder = TermEmbedder(model, centering=centering)
-
-    packed_kind = state.get("packed_kind")
-    if packed_kind is not None:
-        if packed_kind not in ("f32", "q8"):
-            raise PersistenceError(f"unknown pack kind {packed_kind!r}")
-        if "vocab" not in state:
-            raise PersistenceError(
-                "archive has a packed matrix but no vocabulary"
-            )
-        scales = data["packed_scales"] if packed_kind == "q8" else None  # mmap-backed
-        embedder.packed = PackedVocabulary(
-            state["vocab"]["tokens"], data["packed_rows"], scales
-        )
+    # Stores written with a packed vocabulary also carry ``packed_kind``
+    # and ``packed_rows``/``packed_scales`` arrays.  Those rows were
+    # derived from the embedder, so loading ignores them and resolves
+    # exact token vectors instead.
 
     projection = None
     if state["has_projection"]:
@@ -396,16 +356,10 @@ def _assemble_pipeline(state: dict, data: Mapping) -> MetadataPipeline:
     return pipeline
 
 
-def save_pipeline(
-    pipeline: MetadataPipeline,
-    path: str | Path,
-    *,
-    pack: str | None = None,
-) -> Path:
+def save_pipeline(pipeline: MetadataPipeline, path: str | Path) -> Path:
     """Serialize a fitted pipeline to ``path`` (``.npz`` appended if
-    missing).  ``pack`` ("f32"/"q8") additionally embeds the packed
-    vocabulary matrix.  Returns the written path."""
-    arrays, state = _pipeline_payload(pipeline, pack=pack)
+    missing).  Returns the written path."""
+    arrays, state = _pipeline_payload(pipeline)
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
@@ -451,36 +405,30 @@ def is_pipeline_dir(path: str | Path) -> bool:
     return (Path(path) / STATE_FILE).is_file()
 
 
-def save_pipeline_dir(
-    pipeline: MetadataPipeline,
-    path: str | Path,
-    *,
-    pack: str | None = None,
-) -> Path:
+def save_pipeline_dir(pipeline: MetadataPipeline, path: str | Path) -> Path:
     """Serialize a fitted pipeline as an uncompressed directory store.
 
     Layout: ``<path>/state.json`` plus one raw ``<name>.npy`` per array.
     Raw ``.npy`` files load without decompression and support
     ``mmap_mode="r"`` — the format :class:`repro.parallel.ShardedPool`
     workers open so the model costs one page-cached copy per machine,
-    not one inflated copy per process.  ``pack`` ("f32"/"q8") adds the
-    packed vocabulary matrix as a ``packed_rows.npy`` (plus
-    ``packed_scales.npy`` for "q8") that workers page-share the same
-    way.  Returns the directory path.
+    not one inflated copy per process.  Returns the directory path.
     """
-    arrays, state = _pipeline_payload(pipeline, pack=pack)
+    arrays, state = _pipeline_payload(pipeline)
     path = Path(path)
     if path.exists() and not path.is_dir():
         raise PersistenceError(
             f"{path} exists and is not a directory; refusing to overwrite"
         )
     path.mkdir(parents=True, exist_ok=True)
+    # A save over an existing store drops the old state record before
+    # the first array is overwritten, and the new one lands last: a
+    # crashed save leaves no state record, which load_pipeline_dir
+    # rejects instead of serving a mix of the old and the new model.
+    (path / STATE_FILE).unlink(missing_ok=True)
     for name, array in arrays.items():
         np.save(path / f"{name}.npy", np.ascontiguousarray(array))
     state["arrays"] = sorted(arrays)
-    # state.json lands last: a crashed save leaves a directory without a
-    # state record, which load_pipeline_dir rejects outright instead of
-    # serving half a model.
     (path / STATE_FILE).write_text(json.dumps(state, indent=1))
     return path
 

@@ -11,11 +11,11 @@ default back-off embeds an OOV token as the mean of hashed character
 n-gram vectors — the fastText trick — so unseen-but-similar strings map
 to nearby vectors instead of a shared zero.
 
-The token cache is a bounded LRU guarded by a lock: the serving layer
-calls one shared embedder from a pool of worker threads, so lookups must
-be safe under concurrent mutation, and the cache must keep caching (by
-evicting the least recently used entry) instead of silently filling up
-and freezing.
+The token cache is a bounded LRU guarded by a lock: ``repro serve``
+classifies each request on its own handler thread against one shared
+embedder, so lookups must be safe under concurrent mutation, and the
+cache must keep caching (by evicting the least recently used entry)
+instead of silently filling up and freezing.
 """
 
 from __future__ import annotations
@@ -58,106 +58,6 @@ class CacheInfo:
     capacity: int
 
 
-def quantize_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-row int8 quantization -> ``(int8 matrix, scales)``.
-
-    Each row is scaled by ``max(|row|) / 127`` so the full int8 range
-    covers its dynamic range; all-zero rows get scale 1.0 (they stay
-    zero).  ``dequantize_rows`` inverts it up to the rounding error —
-    about 0.4% of a row's max magnitude per component.
-    """
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise ValueError("expected an (n, d) matrix")
-    scales = np.abs(matrix).max(axis=1) / np.float32(127.0)
-    scales = np.where(scales < np.finfo(np.float32).tiny, np.float32(1.0), scales)
-    q = np.clip(np.rint(matrix / scales[:, None]), -127, 127).astype(np.int8)
-    return q, scales.astype(np.float32)
-
-
-def dequantize_rows(q: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Invert :func:`quantize_rows` -> float32 matrix."""
-    return q.astype(np.float32) * np.asarray(scales, dtype=np.float32)[:, None]
-
-
-class PackedVocabulary:
-    """A pre-resolved embedding matrix over a model's whole vocabulary.
-
-    Row ``i`` is the :class:`TermEmbedder`-resolved (OOV-backed-off,
-    centered) vector of vocabulary token ``i``, stored float32
-    (``kind="f32"``) or int8 with per-row scales (``kind="q8"``).  Saved
-    into the directory model store as raw ``.npy`` arrays, a packed
-    vocabulary memory-maps like every other array — ``--procs``
-    workers page-share one physical copy — and the fused corpus path
-    gathers rows by token id instead of re-resolving in-vocabulary
-    tokens through the per-token cache.
-    """
-
-    def __init__(
-        self,
-        tokens: Sequence[str],
-        matrix: np.ndarray,
-        scales: np.ndarray | None = None,
-    ) -> None:
-        if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
-            raise ValueError("matrix must have one row per vocabulary token")
-        if scales is not None and scales.shape != (matrix.shape[0],):
-            raise ValueError("scales must carry one entry per row")
-        if scales is not None and matrix.dtype != np.int8:
-            raise ValueError("scaled matrices must be int8")
-        self.matrix = matrix
-        self.scales = scales
-        self._ids = {token: i for i, token in enumerate(tokens)}
-
-    @property
-    def kind(self) -> str:
-        return "f32" if self.scales is None else "q8"
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[1])
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def id_of(self, token: str) -> int | None:
-        return self._ids.get(token)
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Gather (and dequantize) rows -> float32 ``(len(ids), dim)``.
-
-        Fancy indexing copies exactly the requested rows out of the
-        (possibly memory-mapped) matrix; nothing else is paged in.
-        """
-        ids = np.asarray(ids, dtype=np.intp)
-        block = self.matrix[ids]
-        if self.scales is None:
-            return np.asarray(block, dtype=np.float32)
-        return dequantize_rows(block, np.asarray(self.scales)[ids])
-
-
-def pack_vocabulary(
-    embedder: "TermEmbedder", *, quantize: bool = False
-) -> PackedVocabulary:
-    """Resolve an embedder's whole vocabulary into a packed matrix.
-
-    Requires a backend with a vocabulary (word2vec / ppmi / contextual);
-    hashed embeddings have no finite vocabulary to pack.
-    """
-    vocab = getattr(embedder.model, "vocab", None)
-    if vocab is None:
-        raise ValueError(
-            f"{type(embedder.model).__name__} has no vocabulary; "
-            "cannot pack its embedding matrix"
-        )
-    tokens = [vocab.token_of(i) for i in range(len(vocab))]
-    matrix = embedder.vectors(tokens).astype(np.float32)
-    if quantize:
-        q, scales = quantize_rows(matrix)
-        return PackedVocabulary(tokens, q, scales)
-    return PackedVocabulary(tokens, matrix)
-
-
 class TermEmbedder:
     """Token/cell/level embedding with OOV back-off and caching.
 
@@ -167,7 +67,7 @@ class TermEmbedder:
 
     ``cache_size`` bounds the token LRU; ``0`` disables caching.  All
     cache operations are thread safe — one embedder instance may be
-    shared freely across serving worker threads.
+    shared freely across serve request threads.
     """
 
     def __init__(
@@ -196,39 +96,30 @@ class TermEmbedder:
             if centering.shape != (model.dim,):
                 raise ValueError("centering vector must match the model dim")
         self._centering = centering
-        #: Optional pre-resolved vocabulary matrix (the fused corpus
-        #: path gathers known-token rows from it instead of resolving
-        #: through the cache); attached by the persistence layer when a
-        #: store was saved with ``pack=...``.
-        self.packed: PackedVocabulary | None = None
 
     @property
     def dim(self) -> int:
         return self.model.dim
 
     # ------------------------------------------------------------------
-    # pickling (repro.parallel ships embedders to worker processes)
+    # pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle without the lock and cache.
 
-        The token LRU is pure memoization, so a worker process starting
-        cold is correct (just briefly slower); the lock is rebuilt in
-        :meth:`__setstate__`.
+        The token LRU is pure memoization, so an unpickled embedder
+        starting cold is correct (just briefly slower); the lock is
+        rebuilt in :meth:`__setstate__`.
         """
         state = self.__dict__.copy()
         state["_cache"] = OrderedDict()
         state["_hits"] = 0
         state["_misses"] = 0
-        # The packed matrix may be a memmap view into a store; workers
-        # re-attach it from the store they load, so don't ship it.
-        state["packed"] = None
         del state["_cache_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.__dict__.setdefault("packed", None)  # pre-pack pickles
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -102,24 +102,12 @@ class PpmiSvdEmbedding:
             return NUM_BUCKET
         return token
 
-    def bucket_sentences(
-        self, sentences: Iterable[Sequence[str]]
-    ) -> list[list[str]]:
-        """Apply number bucketing to a corpus (the pre-count transform)."""
-        return [[self._bucket(t) for t in s] for s in sentences]
-
     @staticmethod
     def count_cooccurrence(
         encoded: Sequence[Sequence[int]], window: int, n: int
     ) -> sparse.csr_matrix:
-        """One-directional windowed co-occurrence counts as an ``n x n`` CSR.
-
-        Counting is additive over sentences, so partial matrices from
-        disjoint sentence shards sum to the full-corpus matrix exactly
-        (integer counts in float64) — the property ``repro.parallel``
-        exploits to map-reduce this, the most expensive pure-Python loop
-        of the PPMI fit, across worker processes.
-        """
+        """One-directional windowed co-occurrence counts as an ``n x n`` CSR
+        (integer counts in float64)."""
         rows: list[int] = []
         cols: list[int] = []
         for sentence in encoded:
@@ -137,28 +125,16 @@ class PpmiSvdEmbedding:
         ).tocsr()
 
     def fit(self, sentences: Iterable[Sequence[str]]) -> "PpmiSvdEmbedding":
-        corpus = self.bucket_sentences(sentences)
+        corpus = [[self._bucket(t) for t in s] for s in sentences]
         vocab = Vocabulary.from_sentences(
             corpus, min_count=self.config.min_count
         )
-        n = len(vocab)
-        if n == 0:
-            self.vocab = vocab
-            return self
-        encoded = [vocab.encode(s) for s in corpus]
-        counts = self.count_cooccurrence(encoded, self.config.window, n)
-        return self.fit_from_counts(vocab, counts)
-
-    def fit_from_counts(
-        self, vocab: Vocabulary, counts: sparse.csr_matrix
-    ) -> "PpmiSvdEmbedding":
-        """The reduce phase: PPMI weighting + truncated SVD over pooled
-        one-directional co-occurrence counts (as produced by
-        :meth:`count_cooccurrence`, possibly summed across shards)."""
         self.vocab = vocab
         n = len(vocab)
         if n == 0:
             return self
+        encoded = [vocab.encode(s) for s in corpus]
+        counts = self.count_cooccurrence(encoded, self.config.window, n)
         if counts.nnz == 0:
             self._vectors = np.zeros((n, self.config.dim))
             return self

@@ -1,29 +1,24 @@
-"""repro.parallel — multiprocess scale-out for fitting and serving.
+"""repro.parallel — multiprocess scale-out for classification.
 
-Python threads share one GIL, so the thread pool in ``repro.serve``
-only overlaps I/O; the classification math itself serializes.  This
-package moves the compute across *processes*:
+Python threads share one GIL, so a threaded ``repro batch`` or
+``repro serve`` overlaps I/O but serializes the classification math.
+This package moves that compute across *processes*:
 
 * :class:`~repro.parallel.pool.ShardedPool` — a spawn-based worker pool
   whose initializer loads the model(s) once per process (memory-mapped
   for directory stores, so every worker shares one page-cached copy of
   the matrices).  Drives ``repro batch --procs`` and ``repro serve
   --procs``.
-* :func:`~repro.parallel.fit.parallel_fit` — map-reduce pipeline
-  fitting that is bit-identical to serial
-  :meth:`~repro.core.pipeline.MetadataPipeline.fit` for any worker
-  count.
-* :mod:`~repro.parallel.sharding` — the contiguous sharding and
-  per-shard seed-salting conventions everything above relies on.
+* :mod:`~repro.parallel.sharding` — the contiguous, order-preserving
+  sharding the fuzzer's pooled campaigns rely on.
 * :mod:`~repro.parallel.traces` — merges per-worker span files into one
   timeline (worker pid becomes the Chrome-trace ``tid``).
 
 See ``docs/SCALING.md`` for when to reach for processes vs threads.
 """
 
-from repro.parallel.fit import parallel_fit
 from repro.parallel.pool import ShardedPool, WorkerPoolError, cpu_worker_default
-from repro.parallel.sharding import shard_seed, split_shards
+from repro.parallel.sharding import split_shards
 from repro.parallel.traces import merge_traces, read_worker_traces
 
 __all__ = [
@@ -31,8 +26,6 @@ __all__ = [
     "WorkerPoolError",
     "cpu_worker_default",
     "merge_traces",
-    "parallel_fit",
     "read_worker_traces",
-    "shard_seed",
     "split_shards",
 ]

@@ -2,26 +2,18 @@
 
 Every function here is a top-level callable — the spawn start method
 pickles tasks by reference, so nothing in this module may be a closure
-or a bound method.  Two families live here:
-
-* **pool workers** (:func:`init_classify_worker` + the one classify
-  entry, :func:`classify_stream_chunk`): per-process state is
-  module-global — the initializer loads every model once (memory-mapped
-  for directory stores, so N workers share one page-cached copy of the
-  matrices) and optionally installs a recording tracer whose spans are
-  flushed to a per-pid JSONL file after every chunk;
-* **fit workers** (stateless ``fit_*`` functions): map-phase payloads
-  for the parallel fit — tokenization, PPMI co-occurrence counting,
-  bootstrap labeling, and centroid sample collection — each a pure
-  function of its pickled arguments, merged order-preservingly in the
-  parent.
+or a bound method.  Per-process state is module-global:
+:func:`init_classify_worker` loads every model once (memory-mapped for
+directory stores, so N workers share one page-cached copy of the
+matrices) and optionally installs a recording tracer whose spans are
+flushed to a per-pid JSONL file after every chunk;
+:func:`classify_stream_chunk` is the one classify entry.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -162,73 +154,3 @@ def crash_worker() -> None:  # pragma: no cover - exercised via subprocess
     """Kill this worker abruptly (tests of BrokenProcessPool handling)."""
     os._exit(13)
 
-
-# ---------------------------------------------------------------------------
-# parallel-fit map phases (stateless: pure functions of their payloads)
-# ---------------------------------------------------------------------------
-
-def fit_sentences_chunk(tables: Sequence[Any]) -> list[list[str]]:
-    """Tokenize one shard of tables into training sentences."""
-    from repro.embeddings.sentences import sentences_from_tables
-
-    return list(sentences_from_tables(tables))
-
-
-def fit_ppmi_tokenize_chunk(
-    tables: Sequence[Any], config: Any
-) -> tuple[list[list[str]], Counter]:
-    """Tokenize + number-bucket one shard; also count tokens for the vocab."""
-    from repro.embeddings.ppmi import PpmiSvdEmbedding
-    from repro.embeddings.sentences import sentences_from_tables
-
-    model = PpmiSvdEmbedding(config)
-    bucketed = model.bucket_sentences(sentences_from_tables(tables))
-    counts: Counter = Counter()
-    for sentence in bucketed:
-        counts.update(sentence)
-    return bucketed, counts
-
-
-def fit_ppmi_count_chunk(
-    bucketed: Sequence[Sequence[str]], vocab: Any, window: int
-) -> Any:
-    """Windowed co-occurrence counts for one shard (partial CSR matrix)."""
-    from repro.embeddings.ppmi import PpmiSvdEmbedding
-
-    encoded = [vocab.encode(s) for s in bucketed]
-    return PpmiSvdEmbedding.count_cooccurrence(encoded, window, len(vocab))
-
-
-def fit_bootstrap_chunk(items: Sequence[Any], mode: str) -> list[Any]:
-    """Weak-label one shard of corpus items."""
-    from repro.core.bootstrap import (
-        bootstrap_corpus,
-        bootstrap_first_level,
-    )
-    from repro.tables.model import AnnotatedTable
-
-    if mode == "first_level":
-        return [
-            bootstrap_first_level(
-                item.table if isinstance(item, AnnotatedTable) else item
-            )
-            for item in items
-        ]
-    return bootstrap_corpus(items)
-
-
-def fit_centroid_chunk(
-    embedder: Any,
-    labeled: Sequence[Any],
-    axis: str,
-    aggregation: Any,
-    projection: Any,
-) -> Any:
-    """Collect centroid angle samples for one shard (map phase)."""
-    from repro.core.centroids import collect_centroid_samples
-
-    transform = projection.transform if projection is not None else None
-    return collect_centroid_samples(
-        embedder, labeled, axis=axis, aggregation=aggregation,
-        transform=transform,
-    )

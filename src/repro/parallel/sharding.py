@@ -1,25 +1,14 @@
 """Deterministic work sharding for the multiprocess layer.
 
-Two invariants everything in ``repro.parallel`` leans on:
-
-* **Order-preserving contiguous shards** — :func:`split_shards` cuts a
-  sequence into at most ``n`` contiguous chunks whose concatenation is
-  the original sequence.  Map-reduce stages that merge shard results in
-  shard order therefore reproduce the serial iteration order exactly,
-  for *any* shard count — which is what makes parallel fit bit-identical
-  to serial fit.
-* **Salted per-shard seeds** — :func:`shard_seed` derives one
-  independent, stable seed per ``(seed, shard_index)`` via
-  :class:`numpy.random.SeedSequence`, so any worker-side randomness is
-  (a) decorrelated across shards and (b) a pure function of the caller's
-  seed and the shard's position, never of pool scheduling.
+:func:`split_shards` cuts a sequence into at most ``n`` contiguous
+chunks whose concatenation is the original sequence, so a caller that
+merges shard results in shard order reproduces the serial iteration
+order exactly, for *any* shard count.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, TypeVar
-
-import numpy as np
 
 T = TypeVar("T")
 
@@ -46,15 +35,3 @@ def split_shards(items: Sequence[T], n: int) -> list[list[T]]:
         start += size
     return shards
 
-
-def shard_seed(seed: int, shard_index: int) -> int:
-    """A stable, decorrelated seed for one shard of a seeded run.
-
-    Uses ``SeedSequence(seed).spawn()`` semantics via explicit keying:
-    the result depends only on ``(seed, shard_index)``, changes when
-    either changes, and is safe to hand to
-    :func:`numpy.random.default_rng` in a worker process.
-    """
-    if shard_index < 0:
-        raise ValueError("shard_index must be >= 0")
-    return int(np.random.SeedSequence((seed, shard_index)).generate_state(1)[0])

@@ -167,9 +167,9 @@ def classify_tables_cached(
     even when the model name collides (see
     :func:`_pipeline_cache_token`).  Cache hits resolve up front; the
     misses classify together through
-    :meth:`~repro.core.pipeline.MetadataPipeline.classify_corpus` — the
-    fused corpus path when the classifier allows it — so a bulk run
-    pays per-shard, not per-table, Python overhead.  Per-item isolation
+    :meth:`~repro.core.pipeline.MetadataPipeline.classify_corpus` as one
+    fused shard, so a bulk run pays per-shard, not per-table, Python
+    overhead.  Per-item isolation
     is preserved: if the shard raises, the misses re-classify one by
     one and only the failing tables carry their exception (in the
     annotation slot) back to the caller.
@@ -242,9 +242,9 @@ def run_bulk(
     row-streamable sources (CSV files, DB cursors, stdin CSV) to
     bounded-memory windowed classification.
 
-    ``workers`` sizes the parse/classify thread pool (``None`` =
-    CPU-aware default).  ``procs`` switches the classify stage to worker
-    processes: the model is loaded once per worker (memory-mapped when
+    ``workers`` sizes the parse thread pool (``None`` = CPU-aware
+    default); classification runs on the caller's thread.  ``procs``
+    switches the classify stage to worker processes: the model is loaded once per worker (memory-mapped when
     ``model_path`` is a directory store) and chunks classify truly
     concurrently.  ``ordered=False`` emits records as chunks finish
     instead of in input order.  ``trace_dir`` (procs only) collects

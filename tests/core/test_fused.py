@@ -3,9 +3,8 @@
 The contract: for every embedding backend and every table — including
 the degenerate shapes — ``classify``, ``classify_result`` and
 ``classify_corpus`` must produce labels *byte-identical* to the
-level-by-level reference (:func:`repro.core.classifier.reference_classify`);
-a store packed ``q8`` stays within a documented tolerance of the
-float32 aggregates.  The pack/aggregate internals get their own unit
+level-by-level reference (:func:`repro.core.classifier.reference_classify`).
+The pack/aggregate internals get their own unit
 tests (offset bookkeeping, segment sums, fragment memoization,
 local-vocabulary fallback, one stored copy per token vector).
 """
@@ -24,7 +23,6 @@ from repro.core.fused import (
     pack_corpus,
     token_matrix,
 )
-from repro.core.persistence import load_pipeline, save_pipeline_dir
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.embeddings.contextual import ContextualConfig
 from repro.embeddings.hashed import HashedEmbedding
@@ -131,46 +129,6 @@ class TestEquivalence:
         batched = base.classify_corpus(corpus)
         for table, annotation in zip(corpus, batched):
             assert annotation == reference_classify(base, table), table.name
-
-
-@pytest.fixture(scope="module")
-def q8_pipelines(backend_pipelines, tmp_path_factory):
-    """The word2vec pipeline and its reload from a store packed ``q8``."""
-    exact = backend_pipelines["word2vec"]
-    store = save_pipeline_dir(
-        exact, tmp_path_factory.mktemp("q8") / "model", pack="q8"
-    )
-    quantized = load_pipeline(store)
-    assert quantized.embedder.packed.kind == "q8"
-    return exact, quantized
-
-
-class TestQuantized:
-    """int8 token matrices from a ``q8`` packed store: per-row scales
-    bound the error to half a quantization step per element
-    (``max|row| / 254``), so aggregates stay within ~1% relative error
-    of float32 — the documented tolerance (SCALING.md)."""
-
-    def test_matrices_within_tolerance(self, q8_pipelines, corpus):
-        exact, quantized = q8_pipelines
-        pack = pack_corpus(corpus)
-        rows, cols = fused_level_matrices(exact.embedder, pack)
-        q_rows, q_cols = fused_level_matrices(quantized.embedder, pack)
-        for exact_block, quantized_block in ((rows, q_rows), (cols, q_cols)):
-            scale = np.abs(exact_block).max() or 1.0
-            np.testing.assert_allclose(
-                quantized_block, exact_block, atol=0.01 * scale, rtol=0.05
-            )
-
-    def test_quantized_labels_mostly_agree(self, q8_pipelines, corpus):
-        exact, quantized = q8_pipelines
-        agree = sum(
-            a == b
-            for a, b in zip(
-                exact.classify_corpus(corpus), quantized.classify_corpus(corpus)
-            )
-        )
-        assert agree >= int(0.9 * len(corpus))
 
 
 class TestTokenStorage:

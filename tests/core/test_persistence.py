@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.fused import fused_level_matrices, pack_corpus
 from repro.core.persistence import (
     PersistenceError,
     load_pipeline,
@@ -246,6 +247,32 @@ class TestDirectoryStoreCorruption:
         with pytest.raises(PersistenceError):
             load_pipeline_dir(store)
 
+    def test_crashed_save_over_a_store_does_not_load(
+        self, store, ckg_train, monkeypatch
+    ):
+        """A save over an existing store that dies mid-way must not leave
+        the old state record next to a mix of old and new arrays."""
+        from repro.core.persistence import save_pipeline_dir
+
+        other = MetadataPipeline(
+            PipelineConfig(embedding="hashed", hashed_dim=16, n_pairs=50)
+        ).fit(ckg_train[30:45])
+        real_save = np.save
+        calls = []
+
+        def failing_save(file, array, *args, **kwargs):
+            calls.append(file)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_save(file, array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_pipeline_dir(other, store)
+        monkeypatch.undo()
+        with pytest.raises(PersistenceError, match="state.json"):
+            load_pipeline(store)
+
 
 #: The classifier keys stores saved before the classify planes merged
 #: carry, with the values a default config wrote.
@@ -322,3 +349,73 @@ class TestConfigKeys:
         edit(path, lambda state: state["aggregation"].update(stemming=True))
         with pytest.raises(PersistenceError, match="stemming"):
             load_pipeline(path)
+
+
+@pytest.fixture(scope="module")
+def word2vec_pipeline(ckg_train):
+    return MetadataPipeline(BACKEND_CONFIGS["word2vec"]).fit(ckg_train[:15])
+
+
+def _add_packed_vocabulary(path, pipeline, kind):
+    """Give a store the packed vocabulary older versions of ``repro
+    convert`` could add: ``state["packed_kind"]``, the resolved
+    vocabulary rows as ``packed_rows`` (float32, or int8 for ``q8``)
+    and, for ``q8``, per-row ``packed_scales``."""
+    import json
+
+    vocab = pipeline.embedder.model.vocab
+    tokens = [vocab.token_of(i) for i in range(len(vocab))]
+    rows = pipeline.embedder.vectors(tokens).astype(np.float32)
+    arrays = {"packed_rows": rows}
+    if kind == "q8":
+        scales = np.abs(rows).max(axis=1) / np.float32(127.0)
+        scales = np.where(scales > 0, scales, np.float32(1.0)).astype(np.float32)
+        arrays["packed_rows"] = np.clip(
+            np.rint(rows / scales[:, None]), -127, 127
+        ).astype(np.int8)
+        arrays["packed_scales"] = scales
+    if path.is_dir():
+        for name, array in arrays.items():
+            np.save(path / f"{name}.npy", array)
+        state = json.loads((path / "state.json").read_text())
+        state["arrays"] = sorted([*state["arrays"], *arrays])
+        state["packed_kind"] = kind
+        (path / "state.json").write_text(json.dumps(state, indent=1))
+        return
+    with np.load(path) as data:
+        kept = {k: data[k] for k in data.files if k != "__state__"}
+        state = json.loads(bytes(data["__state__"]).decode())
+    state["packed_kind"] = kind
+    np.savez_compressed(
+        path,
+        __state__=np.frombuffer(json.dumps(state).encode(), dtype=np.uint8),
+        **kept,
+        **arrays,
+    )
+
+
+class TestPackedStoresLoad:
+    """Stores saved with a packed vocabulary load; the derived rows are
+    ignored, so ``f32`` and ``q8`` stores aggregate exact token vectors
+    and label like their unpacked twin."""
+
+    @pytest.mark.parametrize("kind", ["f32", "q8"])
+    @pytest.mark.parametrize("form", ["npz", "dir"])
+    def test_labels_match_unpacked_twin(
+        self, kind, form, word2vec_pipeline, ckg_eval, tmp_path
+    ):
+        from repro.core.persistence import save_pipeline_dir
+
+        save = save_pipeline if form == "npz" else save_pipeline_dir
+        twin = load_pipeline(save(word2vec_pipeline, tmp_path / "twin"))
+        packed_path = save(word2vec_pipeline, tmp_path / "packed")
+        _add_packed_vocabulary(packed_path, word2vec_pipeline, kind)
+        packed = load_pipeline(packed_path)
+        tables = [item.table for item in ckg_eval]
+        assert packed.classify_corpus(tables) == twin.classify_corpus(tables)
+        shard = pack_corpus(tables)
+        for got, want in zip(
+            fused_level_matrices(packed.embedder, shard),
+            fused_level_matrices(twin.embedder, shard),
+        ):
+            np.testing.assert_array_equal(got, want)

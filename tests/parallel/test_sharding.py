@@ -1,10 +1,10 @@
-"""Tests for the contiguous sharding and seed-salting conventions."""
+"""Tests for the contiguous sharding convention."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel.sharding import shard_seed, split_shards
+from repro.parallel.sharding import split_shards
 
 
 class TestSplitShards:
@@ -31,18 +31,3 @@ class TestSplitShards:
         with pytest.raises(ValueError):
             split_shards([1], 0)
 
-
-class TestShardSeed:
-    def test_deterministic(self):
-        assert shard_seed(7, 3) == shard_seed(7, 3)
-
-    def test_distinct_per_shard_and_seed(self):
-        seeds = {shard_seed(s, i) for s in range(4) for i in range(16)}
-        assert len(seeds) == 64
-
-    def test_golden_values(self):
-        # Pinned: these feed worker RNG streams, so a silent change to
-        # the salting scheme would alter "deterministic" fit outputs.
-        assert shard_seed(0, 0) == 2968811710
-        assert shard_seed(0, 1) == 3964924996
-        assert shard_seed(1, 0) == 1835504127

@@ -156,7 +156,7 @@ def measure(verbose: bool = True) -> dict:
 
     pipeline, tables = _build_workload()
 
-    # Warm every shared cache (token LRU, tokenize memo) so both the
+    # Warm every shared cache (token row cache, tokenize memo) so both the
     # serial and the concurrent measurement see the same steady state.
     for table in tables:
         pipeline.classify(table)

@@ -93,8 +93,8 @@ def check_float_equality(context: FileContext) -> Iterator[Finding]:
     family="numpy-contract",
     description=(
         "per-term .vector() call inside a Python loop/comprehension; "
-        "the batched TermEmbedder.vectors() / backend batch_vectors() "
-        "API amortizes cache and id-resolution costs"
+        "the batched TermEmbedder.resolve() / backend batch_vectors() "
+        "API amortizes id-resolution costs"
     ),
     scope=_SCOPE,
 )

@@ -31,10 +31,6 @@ class AggregationConfig:
       * ``"concat"`` — concatenation of the first ``concat_terms`` term
         vectors, zero-padded (the rejected alternative, for ablation).
 
-    ``contextual`` — when the backend is a
-    :class:`~repro.embeddings.contextual.ContextualEncoder`, aggregate
-    its context-aware vectors instead of static lookups.
-
     ``lowercase`` — the tokenizer setting used when cells are split into
     terms (see :func:`repro.text.tokenize`).  Part of the aggregation
     config so the fused plane and the level-by-level reference
@@ -43,7 +39,6 @@ class AggregationConfig:
 
     mode: str = "sum"
     concat_terms: int = 8
-    contextual: bool = False
     lowercase: bool = True
 
     def __post_init__(self) -> None:
@@ -66,14 +61,9 @@ def aggregate_level(
     Empty levels yield the zero vector, which the angle layer treats as
     "no direction" (90 degrees to everything).
     """
-    tokens = tokenize_cells(cells, lowercase=config.lowercase)
-    if config.contextual and hasattr(embedder.model, "encode_sentence"):
-        matrix = embedder.model.encode_sentence([t.text for t in tokens])
-        if matrix.shape[0] == 0:
-            # All tokens OOV for the encoder: fall back to static lookup.
-            matrix = embedder.embed_tokens(tokens)
-    else:
-        matrix = embedder.embed_tokens(tokens)
+    matrix = embedder.embed_tokens(
+        tokenize_cells(cells, lowercase=config.lowercase)
+    )
 
     if config.mode == "concat":
         k = config.concat_terms

@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.aggregate import AggregationConfig, DEFAULT_AGGREGATION, aggregate_level
+from repro.core.aggregate import AggregationConfig, DEFAULT_AGGREGATION
 from repro.core.angles import angle_between
 from repro.core.bootstrap import BootstrapLabels
+from repro.core.embedding_plane import level_vectors
 from repro.embeddings.lookup import TermEmbedder
 
 _EPS = 1e-12
@@ -58,10 +59,12 @@ def angle_spectrum(
             meta_idx = item.metadata_col_indices[:max_levels_per_table]
             data_idx = item.data_col_indices[:max_levels_per_table]
             level_of = table.col
-        meta = [aggregate_level(embedder, level_of(i), aggregation) for i in meta_idx]
-        data = [aggregate_level(embedder, level_of(i), aggregation) for i in data_idx]
-        meta = [v for v in meta if np.linalg.norm(v) > _EPS]
-        data = [v for v in data if np.linalg.norm(v) > _EPS]
+        vectors = level_vectors(
+            embedder, [level_of(i) for i in (*meta_idx, *data_idx)], aggregation
+        )
+        n_meta = len(meta_idx)
+        meta = [v for v in vectors[:n_meta] if np.linalg.norm(v) > _EPS]
+        data = [v for v in vectors[n_meta:] if np.linalg.norm(v) > _EPS]
         for a in range(len(meta)):
             for b in range(a + 1, len(meta)):
                 spectrum.mde.append(angle_between(meta[a], meta[b]))

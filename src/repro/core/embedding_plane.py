@@ -1,24 +1,23 @@
 """Batched level embedding for the fit side.
 
-Centroid estimation and the contrastive projection's training pairs
-aggregate arbitrary batches of bootstrap levels (Def. 8).
-:func:`level_vectors` builds the whole batch in one pass instead of one
-:func:`~repro.core.aggregate.aggregate_level` call per level:
+Centroid estimation, the contrastive projection's training pairs and
+the angle diagnostics aggregate arbitrary batches of levels (Def. 8).
+:func:`level_vectors` builds the whole batch from the same token-vector
+store the classify plane reads:
 
-1. read every cell's tokens through the fused plane's per-cell memo
-   (:func:`repro.core.fused.cell_token_texts`), recording
-   ``(level, token_id)`` occurrence pairs against a batch-local
-   unique-token id space;
-2. resolve the unique tokens with a single batched
-   :meth:`~repro.embeddings.lookup.TermEmbedder.vectors` call;
-3. scatter the occurrences into a per-level token-count matrix and
-   produce every level aggregate with one count x vector matmul (sparse
-   when the count matrix would be big).
+1. every cell's global token ids come from the fused plane's per-cell
+   memo (:func:`repro.core.fused._cell_token_ids`);
+2. the batch's distinct ids are backed by the embedder's id-indexed
+   float32 row cache (:class:`repro.core.fused._TokenRowCache`), which
+   resolves only the ids it has not seen;
+3. one CSR segment sum (:func:`repro.core.fused._indexed_segment_sum`)
+   adds every level's token rows.
 
-The result is numerically the same summation as the scalar path (up to
-floating-point re-association).  Modes the batched path cannot express
-(``concat``, contextual encoders) fall back to the scalar
-implementation.  Classification itself runs on :mod:`repro.core.fused`.
+The result is the scalar :func:`~repro.core.aggregate.aggregate_level`
+summation in float32, returned as float64.  ``concat`` aggregation,
+which the segment sum cannot express, and a full global vocabulary fall
+back to the scalar implementation.  Classification itself runs on
+:mod:`repro.core.fused`.
 """
 
 from __future__ import annotations
@@ -26,45 +25,28 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
+from repro import obs
 from repro.core.aggregate import (
     AggregationConfig,
     DEFAULT_AGGREGATION,
     aggregate_level,
 )
-from repro import obs
-from repro.core.fused import cell_token_texts, supports_fast_path
+from repro.core.fused import (
+    _cell_token_ids,
+    _id_rows,
+    _indexed_segment_sum,
+    supports_fast_path,
+)
 from repro.embeddings.lookup import TermEmbedder
 
-#: Above this many count-matrix entries, scatter through scipy.sparse
-#: instead of a dense bincount reshape (memory, not speed).
-_DENSE_COUNT_LIMIT = 1 << 22
 
-
-def _counts_matmul(
-    level_idx: np.ndarray,
-    token_idx: np.ndarray,
-    n_levels: int,
-    vectors: np.ndarray,
+def _scalar_levels(
+    embedder: TermEmbedder,
+    levels: Sequence[Sequence[object]],
+    config: AggregationConfig,
 ) -> np.ndarray:
-    """Sum ``vectors[token]`` into its level -> ``(n_levels, dim)``.
-
-    Dense path: bincount the flattened (level, token) pairs into a count
-    matrix and matmul.  Large batches go through a scipy COO matrix so
-    the count matrix never materializes densely.
-    """
-    n_unique = vectors.shape[0]
-    if n_levels * n_unique <= _DENSE_COUNT_LIMIT:
-        counts = np.bincount(
-            level_idx * n_unique + token_idx, minlength=n_levels * n_unique
-        ).reshape(n_levels, n_unique)
-        return counts.astype(vectors.dtype) @ vectors
-    counts = sparse.coo_matrix(
-        (np.ones(level_idx.size, dtype=vectors.dtype), (level_idx, token_idx)),
-        shape=(n_levels, n_unique),
-    ).tocsr()
-    return np.asarray(counts @ vectors)
+    return np.stack([aggregate_level(embedder, cells, config) for cells in levels])
 
 
 def level_vectors(
@@ -76,35 +58,38 @@ def level_vectors(
 
     The batched analogue of calling
     :func:`~repro.core.aggregate.aggregate_level` in a loop — centroid
-    estimation and contrastive-pair construction hand their bootstrap
-    level subsets here so the whole batch shares one unique-token lookup.
+    estimation, contrastive-pair construction and the diagnostics hand
+    their bootstrap level subsets here so the whole batch shares one
+    row-cache lookup and one segment sum.
     """
     if not levels:
         return np.empty((0, embedder.dim))
-    if not supports_fast_path(embedder, config):
-        return np.stack(
-            [aggregate_level(embedder, cells, config) for cells in levels]
-        )
+    if not supports_fast_path(config):
+        return _scalar_levels(embedder, levels, config)
 
     with obs.span("embed.levels", n_levels=len(levels)):
-        token_ids: dict[str, int] = {}
-        occ_levels: list[int] = []
-        occ_toks: list[int] = []
+        lowercase = config.lowercase
+        parts: list[np.ndarray] = []
+        lengths = np.zeros(len(levels), dtype=np.intp)
         for index, cells in enumerate(levels):
+            n_tokens = 0
             for cell in cells:
                 text = cell if isinstance(cell, str) else "" if cell is None else str(cell)
-                for token_text in cell_token_texts(text, config.lowercase):
-                    occ_levels.append(index)
-                    occ_toks.append(token_ids.setdefault(token_text, len(token_ids)))
+                ids = _cell_token_ids(text, lowercase)
+                if ids is None:  # the global vocabulary is full
+                    return _scalar_levels(embedder, levels, config)
+                parts.append(ids)
+                n_tokens += ids.size
+            lengths[index] = n_tokens
 
-        if not occ_toks:
+        if not lengths.any():
             return np.zeros((len(levels), embedder.dim))
-        vectors = embedder.vectors(list(token_ids))
-        levels_arr = np.asarray(occ_levels, dtype=np.intp)
-        toks_arr = np.asarray(occ_toks, dtype=np.intp)
-        summed = _counts_matmul(levels_arr, toks_arr, len(levels), vectors)
+        occ_toks = np.concatenate(parts)
+        rows, occ_idx = _id_rows(embedder, np.unique(occ_toks), occ_toks)
+        summed = _indexed_segment_sum(
+            rows, occ_idx, lengths, len(levels)
+        ).astype(np.float64)
         if config.mode == "mean":
-            totals = np.bincount(levels_arr, minlength=len(levels))
-            occupied = totals > 0
-            summed[occupied] /= totals[occupied, None]
+            occupied = lengths > 0
+            summed[occupied] /= lengths[occupied, None]
         return summed

@@ -27,10 +27,10 @@ space:
    :func:`level_blocks` returns, then the shared decision walk per
    table.
 
-Aggregation modes the packed plane cannot express (``concat``,
-contextual encoders) build their level blocks with
-:mod:`repro.core.aggregate` in :func:`level_blocks` and join the same
-walk.  Labels match the level-by-level reference
+``concat`` aggregation, which the packed plane cannot express, builds
+its level blocks with :mod:`repro.core.aggregate` in
+:func:`level_blocks` and joins the same walk.  Labels match the
+level-by-level reference
 (:func:`repro.core.classifier.reference_classify`) because decisions
 sit far from range boundaries in float32; the equivalence suite pins
 this on every embedding backend.
@@ -38,9 +38,11 @@ this on every embedding backend.
 Token vectors come from a per-embedder float32 row matrix indexed by
 global token id (:class:`_TokenRowCache` — a warm shard's token matrix
 is one fancy-index gather, and each token vector is held there once).
-Shards whose token ids lie past :data:`_TOKEN_ROWS_LIMIT`, or that fell
-back to shard-local interning, resolve a compact per-shard
-:func:`token_matrix` instead.
+It is the program's one token-vector store: the fit side's
+:func:`repro.core.embedding_plane.level_vectors` reads it too.  Shards
+whose token ids lie past :data:`_TOKEN_ROWS_LIMIT`, or that fell back to
+shard-local interning, resolve a compact per-shard :func:`token_matrix`
+instead.
 """
 
 from __future__ import annotations
@@ -119,18 +121,13 @@ class _TokenVocab:
 _VOCAB = _TokenVocab()
 
 
-def supports_fast_path(embedder: TermEmbedder, config: AggregationConfig) -> bool:
+def supports_fast_path(config: AggregationConfig) -> bool:
     """True when the packed plane can reproduce ``config`` exactly.
 
-    ``concat`` aggregation needs the first-k term vectors in order, and
-    contextual aggregation needs per-sentence encoder state; both build
-    their level blocks with :mod:`repro.core.aggregate` instead.
+    ``concat`` aggregation needs the first-k term vectors in order, so
+    it builds its level blocks with :mod:`repro.core.aggregate` instead.
     """
-    if config.mode == "concat":
-        return False
-    if config.contextual and hasattr(embedder.model, "encode_sentence"):
-        return False
-    return True
+    return config.mode != "concat"
 
 
 @lru_cache(maxsize=131_072)
@@ -174,10 +171,10 @@ class _TokenRowCache:
     The matrix row index IS the global token id, so a warm shard's
     token matrix is one fancy-index gather with no per-token Python at
     all; only unseen ids are resolved, through
-    :meth:`TermEmbedder.resolve`, which leaves the embedder's own token
-    LRU alone — each token vector is held once, here.  Safe because an
-    embedder's token->vector map is immutable (backend and OOV back-off
-    are deterministic, centering is fixed at construction).
+    :meth:`TermEmbedder.resolve`, which caches nothing — each token
+    vector is held once, here.  Safe because an embedder's token->vector
+    map is immutable (backend and OOV back-off are deterministic,
+    centering is fixed at construction).
     """
 
     def __init__(self, dim: int) -> None:
@@ -559,30 +556,43 @@ def _indexed_segment_sum(
 def token_matrix(
     embedder: TermEmbedder, tokens: Sequence[str]
 ) -> np.ndarray:
-    """Resolve a token vocabulary by text -> float32 ``(n_tokens, dim)``.
+    """Resolve distinct tokens by text -> float32 ``(n_tokens, dim)``.
 
     The compact fallback of :func:`_token_rows`: one batched embedder
     call for a shard the row cache cannot back.
     """
-    return embedder.vectors(list(tokens)).astype(np.float32)
+    return embedder.resolve(list(tokens)).astype(np.float32)
+
+
+def _id_rows(
+    embedder: TermEmbedder, used_ids: np.ndarray, occ_toks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Token vectors for global token-id occurrences: ``(rows, occ_idx)``.
+
+    ``used_ids`` is the sorted set of ids in ``occ_toks``.
+    ``rows[occ_idx[j]]`` is the vector of occurrence ``j`` — the caller
+    feeds both straight into :func:`_indexed_segment_sum` so the
+    per-occurrence matrix never exists.  Fast path: the id-indexed
+    per-embedder row cache with ``occ_idx = occ_toks``; ids past the
+    row cache's limit resolve a compact :func:`token_matrix`.
+    """
+    full = _row_cache(embedder).ensure(embedder, used_ids)
+    if full is not None:
+        return full, occ_toks
+    texts = _VOCAB.texts
+    return (
+        token_matrix(embedder, [texts[i] for i in used_ids]),
+        np.searchsorted(used_ids, occ_toks),
+    )
 
 
 def _token_rows(
     embedder: TermEmbedder, pack: CorpusPack
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The shard's token vectors, unmaterialized: ``(rows, occ_idx)``.
-
-    ``rows[occ_idx[j]]`` is the vector of token occurrence ``j`` — the
-    caller feeds both straight into :func:`_indexed_segment_sum` so the
-    per-occurrence matrix never exists.  Fast path: the id-indexed
-    per-embedder row cache with ``occ_idx = pack.occ_toks``; shards past
-    the row cache's limits resolve a compact per-shard
-    :func:`token_matrix`.
-    """
+    """The shard's token vectors, unmaterialized (see :func:`_id_rows`);
+    a shard-``"local"`` pack resolves its own compact matrix."""
     if pack.token_space == "global":
-        full = _row_cache(embedder).ensure(embedder, pack.used_token_ids)
-        if full is not None:
-            return full, pack.occ_toks
+        return _id_rows(embedder, pack.used_token_ids, pack.occ_toks)
     return token_matrix(embedder, pack.token_texts()), pack.compact_occ_toks()
 
 
@@ -614,25 +624,23 @@ def fused_level_matrices(
         token_rows, occ_idx, cell_counts, pack.n_cells
     )
 
-    row_widths, col_widths = pack.level_widths()
-    col_cells = pack.grid_cells[pack.col_perm]
-    row_vecs = _indexed_segment_sum(
-        cell_vecs, pack.grid_cells, row_widths, pack.total_rows
+    # Rows and columns are one segment sum over the stacked row-major
+    # and column-major grids: every row segment, then every column one.
+    level_cells = np.concatenate(
+        (pack.grid_cells, pack.grid_cells[pack.col_perm])
     )
-    col_vecs = _indexed_segment_sum(
-        cell_vecs, col_cells, col_widths, pack.total_cols
+    level_widths = np.concatenate(pack.level_widths())
+    n_levels = pack.total_rows + pack.total_cols
+    level_vecs = _indexed_segment_sum(
+        cell_vecs, level_cells, level_widths, n_levels
     )
     if config.mode == "mean":
         per_cell = cell_counts.astype(np.float32)[:, None]
-        row_totals = _indexed_segment_sum(
-            per_cell, pack.grid_cells, row_widths, pack.total_rows
+        totals = _indexed_segment_sum(
+            per_cell, level_cells, level_widths, n_levels
         )[:, 0]
-        col_totals = _indexed_segment_sum(
-            per_cell, col_cells, col_widths, pack.total_cols
-        )[:, 0]
-        _mean_in_place(row_vecs, row_totals)
-        _mean_in_place(col_vecs, col_totals)
-    return row_vecs, col_vecs
+        _mean_in_place(level_vecs, totals)
+    return level_vecs[: pack.total_rows], level_vecs[pack.total_rows :]
 
 
 def _mean_in_place(summed: np.ndarray, totals: np.ndarray) -> None:
@@ -667,7 +675,7 @@ def level_blocks(
     """
     embedder = classifier.embedder
     config = classifier.config.aggregation
-    if supports_fast_path(embedder, config):
+    if supports_fast_path(config):
         pack = pack_corpus(tables, config)
         with obs.span("fused.aggregate", tokens=pack.n_tokens):
             row_matrix, col_matrix = fused_level_matrices(

@@ -273,6 +273,11 @@ _RETIRED_CLASSIFIER_KEYS = frozenset(
     {"vectorized", "fused", "fused_dtype", "fused_quantize"}
 )
 
+#: Aggregation options that were removed, with the one value this
+#: version still reproduces.  A store saved with that value loads with
+#: the key dropped; any other value raises.
+_RETIRED_AGGREGATION_DEFAULTS = {"contextual": False}
+
 
 def _config_fields(
     cls: type,
@@ -328,8 +333,20 @@ def _assemble_pipeline(state: dict, data: Mapping) -> MetadataPipeline:
         state["col_centroids"], data["col_meta_ref"], data["col_data_ref"]
     )
 
+    saved_aggregation = state["aggregation"]
+    for key, default in _RETIRED_AGGREGATION_DEFAULTS.items():
+        if saved_aggregation.get(key, default) != default:
+            raise PersistenceError(
+                f"store sets the retired aggregation option {key!r} to "
+                f"{saved_aggregation[key]!r}; only {default!r} can be loaded"
+            )
     aggregation = AggregationConfig(
-        **_config_fields(AggregationConfig, state["aggregation"], "aggregation")
+        **_config_fields(
+            AggregationConfig,
+            saved_aggregation,
+            "aggregation",
+            retired=frozenset(_RETIRED_AGGREGATION_DEFAULTS),
+        )
     )
     classifier_config = ClassifierConfig(
         aggregation=aggregation,

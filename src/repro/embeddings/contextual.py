@@ -64,13 +64,10 @@ class ContextualConfig:
 class ContextualEncoder:
     """Self-attention encoder with masked-token training.
 
-    After :meth:`fit`, two lookups are available:
-
-    * :meth:`vector` — the static (input) embedding of a token, the
-      drop-in interface :class:`~repro.embeddings.lookup.TermEmbedder`
-      expects;
-    * :meth:`encode_sentence` — per-position contextual vectors, used by
-      the pipeline's contextual aggregation ablation.
+    After :meth:`fit`, :meth:`vector` returns the static (input)
+    embedding of a token, the drop-in interface
+    :class:`~repro.embeddings.lookup.TermEmbedder` expects; training
+    shapes those vectors through the attention block.
     """
 
     def __init__(self, config: ContextualConfig | None = None) -> None:
@@ -210,22 +207,3 @@ class ContextualEncoder:
                 cursor += 1
         return out
 
-    def encode_sentence(self, tokens: Sequence[str]) -> np.ndarray:
-        """Contextual vectors, one row per in-vocabulary token.
-
-        Returns an empty ``(0, dim)`` array when nothing is in-vocabulary.
-        """
-        if self.vocab is None or self._emb is None:
-            raise RuntimeError("encoder is not fitted")
-        ids = self.vocab.encode(list(tokens)[: self.config.max_len])
-        if not ids:
-            return np.empty((0, self.config.dim))
-        pos = not_none(self._pos, "fitted positional matrix")
-        wq = not_none(self._wq, "fitted query projection")
-        wk = not_none(self._wk, "fitted key projection")
-        wo = not_none(self._wo, "fitted output projection")
-        id_arr = np.asarray(ids, dtype=np.int64)
-        x = self._emb[id_arr] + pos[: len(ids)]
-        scores = (x @ wq) @ (x @ wk).T / np.sqrt(self.config.attention_dim)
-        attn = _softmax(scores, axis=-1)
-        return x + (attn @ x) @ wo

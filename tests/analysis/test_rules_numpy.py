@@ -217,7 +217,7 @@ class TestScalarEmbedLoop:
         findings = _lint(
             """
             def embed_all(embedder, terms):
-                return embedder.vectors(terms)
+                return embedder.resolve(terms)
             """,
             "scalar-embed-loop",
         )

@@ -113,32 +113,15 @@ class TestTableAggregation:
 
 
 class TestContextual:
-    def test_contextual_path_used(self):
-        """With contextual=True and an encoder backend, aggregation uses
-        encode_sentence; result differs from static lookup."""
-        from repro.embeddings.contextual import ContextualConfig, ContextualEncoder
-
-        corpus = [["a", "b", "c"], ["b", "c", "d"], ["a", "d"]] * 5
-        encoder = ContextualEncoder(
-            ContextualConfig(dim=8, attention_dim=4, epochs=1, seed=0)
-        ).fit(corpus)
-        embedder = TermEmbedder(encoder)
-        static = aggregate_level(embedder, ["a b"])
-        contextual = aggregate_level(
-            embedder, ["a b"], AggregationConfig(contextual=True)
-        )
-        assert static.shape == contextual.shape
-        assert not np.allclose(static, contextual)
-
     def test_contextual_falls_back_on_oov(self):
+        """Words the contextual encoder never saw aggregate through the
+        embedder's n-gram back-off instead of vanishing."""
         from repro.embeddings.contextual import ContextualConfig, ContextualEncoder
 
         encoder = ContextualEncoder(
             ContextualConfig(dim=8, attention_dim=4, epochs=1, seed=0)
         ).fit([["x", "y"]] * 3)
         embedder = TermEmbedder(encoder)
-        out = aggregate_level(
-            embedder, ["unseen words"], AggregationConfig(contextual=True)
-        )
+        out = aggregate_level(embedder, ["unseen words"])
         assert out.shape == (8,)
         assert not np.all(out == 0)  # ngram back-off supplied vectors

@@ -152,9 +152,10 @@ class TestSeedDeterminism:
     def test_pinned_outputs(self, embedder):
         """Pin the sampled MDE range for two seeds.  A change here means
         the seed derivation changed — bump deliberately or fix the
-        regression."""
+        regression.  (The values are from float32 level sums on the
+        row cache.)"""
         default = self._centroids(embedder)  # seed=0
         assert default.mde.lo == pytest.approx(0.0, abs=1e-9)
-        assert default.mde.hi == pytest.approx(14.185169801570265, rel=1e-9)
+        assert default.mde.hi == pytest.approx(14.185170008500517, rel=1e-9)
         seeded = self._centroids(embedder, seed=7)
-        assert seeded.mde.hi == pytest.approx(17.68640424994657, rel=1e-9)
+        assert seeded.mde.hi == pytest.approx(17.68640580932747, rel=1e-9)

@@ -7,7 +7,9 @@ scalar :mod:`repro.core.aggregate` vectors (up to float32 rounding and
 re-association) for every mode they claim to support, fall back to the
 scalar aggregation for the modes they do not, never raise on
 degenerate shapes, and classify exactly like the level-by-level
-reference.
+reference.  Both read token vectors from the one row cache, so a table
+whose levels were embedded during ``fit`` classifies without resolving
+a token.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import fused
 from repro.core.aggregate import (
     AggregationConfig,
@@ -24,13 +27,17 @@ from repro.core.aggregate import (
     aggregate_level,
     aggregate_rows,
 )
+from repro.core.bootstrap import bootstrap_corpus
 from repro.core.classifier import ClassifierConfig, reference_classify
 from repro.core.embedding_plane import level_vectors
 from repro.core.fused import supports_fast_path
+from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.embeddings.hashed import HashedEmbedding
 from repro.embeddings.lookup import TermEmbedder
 from repro.tables.model import Table
 from repro.text import tokenize
+
+from tests.core.conftest import BACKENDS
 
 #: float32 aggregation against the float64 scalar sums.
 ATOL = 1e-4
@@ -127,7 +134,7 @@ class TestDegenerateShapes:
 class TestFallbacks:
     def test_concat_mode_falls_back(self, embedder, simple_table):
         config = AggregationConfig(mode="concat", concat_terms=4)
-        assert not supports_fast_path(embedder, config)
+        assert not supports_fast_path(config)
         rows, cols = _one_table(embedder, simple_table, config)
         np.testing.assert_allclose(
             rows, aggregate_rows(embedder, simple_table, config)
@@ -136,17 +143,6 @@ class TestFallbacks:
             cols, aggregate_cols(embedder, simple_table, config)
         )
 
-    def test_contextual_falls_back_only_with_encoder(self, embedder):
-        config = AggregationConfig(contextual=True)
-        # Hashed backend has no encode_sentence: fast path still applies.
-        assert supports_fast_path(embedder, config)
-
-        class _Encoder(HashedEmbedding):
-            def encode_sentence(self, tokens):
-                return np.zeros((len(tokens), self.dim))
-
-        contextual = TermEmbedder(_Encoder(16))
-        assert not supports_fast_path(contextual, config)
 
 
 class TestLevelVectors:
@@ -161,7 +157,8 @@ class TestLevelVectors:
         scalar = np.stack(
             [aggregate_level(embedder, c, AggregationConfig()) for c in levels]
         )
-        np.testing.assert_allclose(batched, scalar, atol=1e-9)
+        assert batched.dtype == np.float64
+        np.testing.assert_allclose(batched, scalar, atol=ATOL)
 
     def test_empty_batch(self, embedder):
         assert level_vectors(embedder, [], AggregationConfig()).shape == (0, 16)
@@ -169,7 +166,59 @@ class TestLevelVectors:
     def test_non_string_cells(self, embedder):
         batched = level_vectors(embedder, [[12, None, "x"]], AggregationConfig())
         scalar = aggregate_level(embedder, [12, None, "x"], AggregationConfig())
-        np.testing.assert_allclose(batched[0], scalar, atol=1e-9)
+        np.testing.assert_allclose(batched[0], scalar, atol=ATOL)
+
+    @pytest.mark.parametrize("mode", ["sum", "mean"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_aggregate_level_on_every_backend(
+        self, backend_pipelines, ckg_eval, backend, mode
+    ):
+        """Fit-side batches read the float32 row cache; they stay within
+        float32 rounding of the float64 per-level reference, including
+        non-string, blank and empty levels."""
+        embedder = backend_pipelines[backend].embedder
+        config = AggregationConfig(mode=mode)
+        table = ckg_eval[0].table
+        levels = [
+            *table.rows,
+            *(table.col(j) for j in range(table.n_cols)),
+            [12, None, 3.5, "x"],
+            ["", " ", None],
+            [],
+            ["zzqv-unseen", "Enrollment 2021"],
+        ]
+        scalar = np.stack([aggregate_level(embedder, c, config) for c in levels])
+        np.testing.assert_allclose(
+            level_vectors(embedder, levels, config), scalar, atol=ATOL
+        )
+
+    def test_fit_embeds_training_tables_for_classify(self, ckg_train):
+        """``fit`` fills the row cache ``classify`` reads: a training
+        table whose every row was a bootstrap level embedded during fit
+        classifies without one ``lookup`` span."""
+        train = list(ckg_train[:16])
+        pipeline = MetadataPipeline(
+            PipelineConfig(
+                embedding="hashed", hashed_dim=32, n_pairs=50,
+                use_contrastive=False,
+            )
+        ).fit(train)
+        # Rows inside the centroid caps (5 metadata, 20 data levels per
+        # table) are all embedded by the row-axis centroid pass.
+        covered = [
+            labels.table
+            for labels in bootstrap_corpus(train)
+            if None not in labels.row_kinds
+            and len(labels.metadata_row_indices) <= 5
+            and len(labels.data_row_indices) <= 20
+        ]
+        assert covered
+        for table in covered:
+            with obs.tracing() as tracer:
+                pipeline.classify(table)
+            names = {span.name for span in tracer.spans()}
+            assert "classify" in names
+            assert "lookup" not in names, table.name
 
 
 class TestClassifierEquivalence:
@@ -226,7 +275,7 @@ class TestTokenMemoKeying:
             np.testing.assert_allclose(
                 level_vectors(embedder, table.rows, config),
                 aggregate_rows(embedder, table, config),
-                atol=1e-9,
+                atol=ATOL,
             )
         # Hashed vectors are case-sensitive, so the configs genuinely
         # disagree — the equality above is not vacuous.

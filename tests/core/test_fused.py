@@ -24,51 +24,12 @@ from repro.core.fused import (
     token_matrix,
 )
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
-from repro.embeddings.contextual import ContextualConfig
 from repro.embeddings.hashed import HashedEmbedding
 from repro.embeddings.lookup import TermEmbedder
-from repro.embeddings.ppmi import PpmiConfig
-from repro.embeddings.word2vec import Word2VecConfig
 from repro.tables.model import Table
 
+from tests.core.conftest import BACKENDS
 from tests.core.test_degenerate import DEGENERATE_TABLES
-
-BACKENDS = ("hashed", "word2vec", "ppmi", "contextual")
-
-
-@pytest.fixture(scope="module")
-def backend_pipelines(ckg_train) -> dict[str, MetadataPipeline]:
-    """One small fitted pipeline per embedding backend."""
-    train = list(ckg_train[:16])
-    configs = {
-        "hashed": PipelineConfig(
-            embedding="hashed", hashed_dim=32, n_pairs=50,
-            use_contrastive=False,
-        ),
-        "word2vec": PipelineConfig(
-            embedding="word2vec",
-            word2vec=Word2VecConfig(dim=16, epochs=1, seed=0),
-            n_pairs=50,
-            use_contrastive=False,
-        ),
-        "ppmi": PipelineConfig(
-            embedding="ppmi",
-            ppmi=PpmiConfig(dim=16, min_count=1, seed=0),
-            n_pairs=50,
-            use_contrastive=False,
-        ),
-        "contextual": PipelineConfig(
-            embedding="contextual",
-            contextual=ContextualConfig(dim=16, attention_dim=8, epochs=1),
-            n_pairs=50,
-            use_contrastive=False,
-        ),
-    }
-    return {
-        name: MetadataPipeline(config).fit(train)
-        for name, config in configs.items()
-    }
-
 
 @pytest.fixture(scope="module")
 def corpus(ckg_eval) -> list[Table]:
@@ -180,10 +141,18 @@ class TestTokenStorage:
     def test_classify_stores_each_token_vector_once(
         self, backend_pipelines, corpus
     ):
-        """The row cache holds the shard's token vectors; the embedder's
-        own LRU stays empty instead of holding a second copy."""
+        """The row cache holds the shard's token vectors, each resolved
+        once: a second pass over the same shard resolves nothing."""
         base = backend_pipelines["hashed"].classifier
         embedder = TermEmbedder(base.embedder.model)
+        resolved: list[str] = []
+        resolve = embedder.resolve
+
+        def counting_resolve(tokens):
+            resolved.extend(tokens)
+            return resolve(tokens)
+
+        embedder.resolve = counting_resolve
         classifier = MetadataClassifier(
             embedder,
             base.row_centroids,
@@ -195,7 +164,9 @@ class TestTokenStorage:
         pack = pack_corpus(corpus)
         rows = fused._row_cache(embedder)
         assert int(rows._known.sum()) == pack.n_tokens > 0
-        assert embedder.cache_info().size == 0
+        assert sorted(resolved) == sorted(pack.token_texts())
+        classifier.classify_corpus(corpus)
+        assert len(resolved) == pack.n_tokens
 
 
 class TestPack:
@@ -300,7 +271,7 @@ class TestFusedAggregates:
         tokens = ("alpha", "beta", "42")
         matrix = token_matrix(embedder, tokens)
         np.testing.assert_allclose(
-            matrix, embedder.vectors(list(tokens)).astype(np.float32),
+            matrix, np.stack([embedder.vector(t) for t in tokens]),
             atol=1e-6,
         )
 
@@ -318,6 +289,35 @@ class TestIndexedSegmentSum:
             np.testing.assert_allclose(out[s], expected, atol=1e-5)
             start += length
         assert np.all(out[lengths == 0] == 0)
+
+    def test_stacked_sum_equals_separate_sums(self):
+        """``fused_level_matrices`` sums rows and columns in one call over
+        the stacked index blocks; that must be bit-identical to summing
+        each block on its own (every CSR output row is independent)."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_values = int(rng.integers(1, 30))
+            values = rng.normal(size=(n_values, 4)).astype(np.float32)
+            blocks = []
+            for _ in range(2):
+                lengths = rng.integers(0, 6, size=int(rng.integers(1, 12)))
+                lengths[rng.random(lengths.size) < 0.3] = 0
+                indices = rng.integers(0, n_values, size=int(lengths.sum()))
+                blocks.append((indices, lengths.astype(np.intp)))
+            (idx_a, len_a), (idx_b, len_b) = blocks
+            stacked = _indexed_segment_sum(
+                values,
+                np.concatenate((idx_a, idx_b)),
+                np.concatenate((len_a, len_b)),
+                len_a.size + len_b.size,
+            )
+            separate = np.concatenate(
+                (
+                    _indexed_segment_sum(values, idx_a, len_a, len_a.size),
+                    _indexed_segment_sum(values, idx_b, len_b, len_b.size),
+                )
+            )
+            assert np.array_equal(stacked, separate)
 
     def test_empty_indices(self):
         values = np.ones((4, 3), dtype=np.float32)

@@ -350,6 +350,23 @@ class TestConfigKeys:
         with pytest.raises(PersistenceError, match="stemming"):
             load_pipeline(path)
 
+    def test_store_with_contextual_off_loads(
+        self, store_form, hashed_pipeline, ckg_eval
+    ):
+        """Stores written while ``AggregationConfig`` still had the
+        ``contextual`` option saved it as ``false``; the key is dropped."""
+        path, edit = store_form
+        edit(path, lambda state: state["aggregation"].update(contextual=False))
+        loaded = load_pipeline(path)
+        assert loaded.classifier.config == hashed_pipeline.classifier.config
+        _assert_same_predictions(hashed_pipeline, loaded, ckg_eval)
+
+    def test_store_with_contextual_on_raises(self, store_form):
+        path, edit = store_form
+        edit(path, lambda state: state["aggregation"].update(contextual=True))
+        with pytest.raises(PersistenceError, match="retired .*'contextual'"):
+            load_pipeline(path)
+
 
 @pytest.fixture(scope="module")
 def word2vec_pipeline(ckg_train):
@@ -365,7 +382,7 @@ def _add_packed_vocabulary(path, pipeline, kind):
 
     vocab = pipeline.embedder.model.vocab
     tokens = [vocab.token_of(i) for i in range(len(vocab))]
-    rows = pipeline.embedder.vectors(tokens).astype(np.float32)
+    rows = pipeline.embedder.resolve(tokens).astype(np.float32)
     arrays = {"packed_rows": rows}
     if kind == "q8":
         scales = np.abs(rows).max(axis=1) / np.float32(127.0)

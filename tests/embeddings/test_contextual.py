@@ -58,36 +58,6 @@ class TestTraining:
         assert encoder.vector("x") is None
 
 
-class TestEncodeSentence:
-    def test_shape(self, encoder):
-        out = encoder.encode_sentence(["age", "duration", "total"])
-        assert out.shape == (3, 16)
-
-    def test_oov_dropped(self, encoder):
-        out = encoder.encode_sentence(["age", "zzz"])
-        assert out.shape == (1, 16)
-
-    def test_all_oov_empty(self, encoder):
-        out = encoder.encode_sentence(["zzz", "yyy"])
-        assert out.shape == (0, 16)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            ContextualEncoder().encode_sentence(["a"])
-
-    def test_context_changes_vectors(self, encoder):
-        """The same token embeds differently in different sentences —
-        the property that makes the encoder 'contextual'."""
-        alone = encoder.encode_sentence(["age", "duration"])[0]
-        other = encoder.encode_sentence(["age", "alpha", "beta"])[0]
-        assert not np.allclose(alone, other)
-
-    def test_max_len_truncation(self, encoder):
-        long = ["age"] * 200
-        out = encoder.encode_sentence(long)
-        assert out.shape[0] <= encoder.config.max_len
-
-
 class TestGeometry:
     def test_cluster_separation(self, encoder):
         def cos(a, b):

@@ -8,7 +8,7 @@ import pytest
 from repro.embeddings.hashed import HashedEmbedding
 from repro.embeddings.lookup import TermEmbedder, corpus_mean_vector
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
-from repro.text import Token, TokenKind
+from repro.text import Token, TokenKind, tokenize_cells
 
 
 class _NoneModel:
@@ -20,6 +20,18 @@ class _NoneModel:
 
     def vector(self, token: str):
         return None
+
+
+class _BatchModel(HashedEmbedding):
+    """A backend with the ``batch_vectors`` hook; records each call."""
+
+    def __init__(self, dim: int) -> None:
+        super().__init__(dim)
+        self.calls: list[list[str]] = []
+
+    def batch_vectors(self, tokens):
+        self.calls.append(list(tokens))
+        return [self.vector(t) for t in tokens]
 
 
 class TestLookup:
@@ -35,17 +47,26 @@ class TestLookup:
         np.testing.assert_allclose(embedder.vector("x"), model.vector("x"))
 
     def test_has_reflects_backend(self):
-        embedder = TermEmbedder(_NoneModel())
-        assert not embedder.has("anything")
-        assert TermEmbedder(HashedEmbedding(8)).has("anything")
+        """A token the backend knows resolves to the backend vector; one
+        it does not know resolves through the back-off."""
+        model = HashedEmbedding(8)
+        np.testing.assert_array_equal(
+            TermEmbedder(model).resolve(["anything"])[0], model.vector("anything")
+        )
+        embedder = TermEmbedder(_NoneModel(), oov="hash")
+        np.testing.assert_array_equal(
+            embedder.resolve(["anything"])[0], embedder._oov_vector("anything")
+        )
 
     def test_cache_consistency(self):
+        """Lookups are uncached and deterministic: repeated calls, the
+        scalar front and the batched entry all agree exactly."""
         embedder = TermEmbedder(HashedEmbedding(8))
         first = embedder.vector("tok")
         second = embedder.vector("tok")
-        assert first is second  # cached object
-        embedder.clear_cache()
-        np.testing.assert_allclose(embedder.vector("tok"), first)
+        assert first is not second
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(embedder.resolve(["tok"])[0], first)
 
 
 class TestOov:
@@ -89,7 +110,9 @@ class TestBatch:
 
     def test_embed_cells_tokenizes(self):
         embedder = TermEmbedder(HashedEmbedding(8))
-        out = embedder.embed_cells(["Student enrollment", "14,373"])
+        out = embedder.embed_tokens(
+            tokenize_cells(["Student enrollment", "14,373"])
+        )
         assert out.shape == (3, 8)  # student, enrollment, 14373
 
 
@@ -120,103 +143,72 @@ class TestCentering:
         assert corpus_mean_vector(HashedEmbedding(8)) is None
 
 
-class TestCacheLru:
-    def test_eviction_keeps_most_recent(self):
-        embedder = TermEmbedder(HashedEmbedding(8), cache_size=3)
-        for tok in ("a", "b", "c"):
-            embedder.vector(tok)
-        embedder.vector("a")  # refresh "a": "b" is now least recent
-        embedder.vector("d")  # evicts "b"
-        assert set(embedder._cache) == {"a", "c", "d"}
-        assert embedder.cache_info().size == 3
-
-    def test_size_never_exceeds_capacity(self):
-        embedder = TermEmbedder(HashedEmbedding(8), cache_size=5)
-        for i in range(50):
-            embedder.vector(f"tok{i}")
-            assert embedder.cache_info().size <= 5
-        # The cache keeps caching after hitting capacity (no freeze).
-        last = embedder.vector("tok49")
-        assert embedder.vector("tok49") is last
-
-    def test_cache_size_zero_disables_caching(self):
-        embedder = TermEmbedder(HashedEmbedding(8), cache_size=0)
-        first = embedder.vector("tok")
-        second = embedder.vector("tok")
-        assert first is not second
-        np.testing.assert_allclose(first, second)
-        assert embedder.cache_info().size == 0
-
-    def test_cache_info_counters(self):
-        embedder = TermEmbedder(HashedEmbedding(8), cache_size=10)
-        embedder.vector("a")
-        embedder.vector("a")
-        embedder.vector("b")
-        info = embedder.cache_info()
-        assert info.hits == 1
-        assert info.misses == 2
-        assert info.size == 2
-        assert info.capacity == 10
-        embedder.clear_cache()
-        info = embedder.cache_info()
-        assert (info.hits, info.misses, info.size) == (0, 0, 0)
-
-
 class TestVectorsBatch:
+    """The batched lookup, :meth:`TermEmbedder.resolve`."""
+
     def test_matches_scalar_path(self):
         embedder = TermEmbedder(HashedEmbedding(8))
-        tokens = ["alpha", "beta", "alpha", "14373", "gamma"]
-        batched = embedder.vectors(tokens)
+        tokens = ["alpha", "beta", "14373", "gamma"]
+        batched = embedder.resolve(tokens)
+        assert batched.dtype == np.float64
         scalar = np.stack([embedder.vector(t) for t in tokens])
-        np.testing.assert_allclose(batched, scalar)
+        np.testing.assert_array_equal(batched, scalar)
 
     def test_duplicates_resolved_once(self):
-        embedder = TermEmbedder(HashedEmbedding(8))
-        out = embedder.vectors(["x"] * 10)
+        """The fit-side batch path dedupes its tokens before it resolves
+        them: one backend call, each distinct token once."""
+        from repro.core.aggregate import AggregationConfig
+        from repro.core.embedding_plane import level_vectors
+
+        model = _BatchModel(8)
+        out = level_vectors(
+            TermEmbedder(model), [["qqdup qqdup"], ["qqdup"]] * 5,
+            AggregationConfig(),
+        )
         assert out.shape == (10, 8)
-        assert embedder.cache_info().misses == 1
+        assert model.calls == [["qqdup"]]
+        np.testing.assert_allclose(out[0], 2 * out[1], atol=1e-5)
 
     def test_empty_batch(self):
         embedder = TermEmbedder(HashedEmbedding(8))
-        assert embedder.vectors([]).shape == (0, 8)
+        assert embedder.resolve([]).shape == (0, 8)
 
     def test_token_objects_accepted(self):
         embedder = TermEmbedder(HashedEmbedding(8))
-        out = embedder.vectors([Token("a", TokenKind.WORD), "b"])
+        out = embedder.embed_tokens([Token("a", TokenKind.WORD), "b"])
         np.testing.assert_allclose(out[0], embedder.vector("a"))
+        np.testing.assert_allclose(out[1], embedder.vector("b"))
 
     def test_oov_backoff_and_centering_applied(self):
         center = np.full(8, 0.25)
         plain = TermEmbedder(_NoneModel(), oov="ngram")
         centered = TermEmbedder(_NoneModel(), oov="ngram", centering=center)
         np.testing.assert_allclose(
-            centered.vectors(["word"])[0], plain.vectors(["word"])[0] - center
+            centered.resolve(["word"])[0], plain.resolve(["word"])[0] - center
         )
 
     def test_backend_batch_hook_used(self):
-        calls = []
-
-        class _BatchModel(HashedEmbedding):
-            def batch_vectors(self, tokens):
-                calls.append(list(tokens))
-                return [self.vector(t) for t in tokens]
-
-        embedder = TermEmbedder(_BatchModel(8))
-        embedder.vectors(["a", "b", "a"])
-        assert calls == [["a", "b"]]  # deduped, one backend call
+        model = _BatchModel(8)
+        TermEmbedder(model).resolve(["a", "b"])
+        assert model.calls == [["a", "b"]]  # one backend call for the batch
 
 
 class TestCacheConcurrency:
     def test_eight_thread_hammer_no_corruption(self):
-        """Shared embedder under 8 threads with a cache small enough to
-        force constant eviction: every returned vector must still equal
-        the single-thread reference, and the cache must stay bounded."""
+        """One embedder shared by 8 threads, through both the scalar
+        front and the row cache the batched paths fill: every returned
+        vector must equal the single-thread reference."""
         import threading as _threading
 
-        embedder = TermEmbedder(HashedEmbedding(16), cache_size=32)
-        reference = TermEmbedder(HashedEmbedding(16), cache_size=0)
-        tokens = [f"tok{i}" for i in range(100)]
+        from repro.core.aggregate import AggregationConfig, aggregate_level
+        from repro.core.embedding_plane import level_vectors
+
+        embedder = TermEmbedder(HashedEmbedding(16))
+        reference = TermEmbedder(HashedEmbedding(16))
+        # One cell, two tokens ("hammer", "<i>") on the batched path.
+        tokens = [f"hammer{i}" for i in range(100)]
         expected = {t: reference.vector(t) for t in tokens}
+        expected_cell = {t: aggregate_level(reference, [t]) for t in tokens}
         errors: list[str] = []
         barrier = _threading.Barrier(8)
 
@@ -225,10 +217,13 @@ class TestCacheConcurrency:
             for round_no in range(30):
                 for i, tok in enumerate(tokens):
                     if (i + seed + round_no) % 3 == 0:
-                        got = embedder.vector(tok)
+                        got, want = embedder.vector(tok), expected[tok]
                     else:
-                        got = embedder.vectors([tok, tokens[(i + seed) % 100]])[0]
-                    if not np.array_equal(got, expected[tok]):
+                        got = level_vectors(
+                            embedder, [[tok]], AggregationConfig()
+                        )[0]
+                        want = expected_cell[tok]
+                    if not np.allclose(got, want, atol=1e-5):
                         errors.append(tok)
                         return
 
@@ -241,8 +236,3 @@ class TestCacheConcurrency:
             t.join()
 
         assert errors == []
-        info = embedder.cache_info()
-        assert info.size <= 32
-        # Cached entries themselves must be intact.
-        for tok, vec in embedder._cache.items():
-            assert np.array_equal(vec, expected[tok])

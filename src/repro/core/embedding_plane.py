@@ -10,7 +10,7 @@ store the classify plane reads:
 2. the batch's distinct ids are backed by the embedder's id-indexed
    float32 row cache (:class:`repro.core.fused._TokenRowCache`), which
    resolves only the ids it has not seen;
-3. one CSR segment sum (:func:`repro.core.fused._indexed_segment_sum`)
+3. one segment sum (:func:`repro.core.fused._indexed_segment_sum`)
    adds every level's token rows.
 
 The result is the scalar :func:`~repro.core.aggregate.aggregate_level`

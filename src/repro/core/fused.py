@@ -54,7 +54,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro import obs
 from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
@@ -530,27 +529,48 @@ def _indexed_segment_sum(
 
     Block ``s`` spans ``lengths[s]`` consecutive entries of ``indices``;
     empty blocks yield zero rows.  This is the scatter-aggregation core
-    of the fused plane: the segment-sum operator IS a CSR matrix whose
-    indptr is the length prefix array and whose column indices are the
-    gather indices, so every Def. 8 summation is one direct-CSR matmul
-    — no COO sort, and crucially no materialized ``values[indices]``
-    intermediate (the corpus-sized gathers dominate memory traffic
-    otherwise).  Accumulation dtype follows ``values.dtype``.
+    of the fused plane: every Def. 8 summation goes through it.
+
+    A *rank loop*: segments are ranked longest first, so at position
+    ``p`` the segments still running are a prefix of the ranking, and
+    one gather plus one in-place add advances all of them by one term.
+    Each output row is therefore ``((0 + v0) + v1) + ...`` in index
+    order — the exact float sequence of a CSR-matrix product with unit
+    weights, which ``tests/core/test_fused.py`` keeps as the bitwise
+    oracle.  The loop runs ``max(lengths)`` times, and only one
+    position's gather is materialized at a time, never the whole
+    ``values[indices]``.  Accumulation dtype follows ``values.dtype``.
     """
-    n = indices.shape[0]
-    if n == 0:
-        return np.zeros((n_segments, values.shape[1]), dtype=values.dtype)
-    indptr = np.zeros(n_segments + 1, dtype=np.intp)
-    np.cumsum(lengths, out=indptr[1:])
-    summer = sparse.csr_matrix(
-        (
-            np.ones(n, dtype=values.dtype),
-            np.asarray(indices, dtype=np.intp),
-            indptr,
-        ),
-        shape=(n_segments, values.shape[0]),
-    )
-    return np.asarray(summer @ values)
+    out = np.zeros((n_segments, values.shape[1]), dtype=values.dtype)
+    if indices.shape[0] == 0:
+        return out
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.zeros(n_segments, dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    ranked = np.argsort(-lengths)
+    ranked_lengths = lengths[ranked]
+    n_active = int(np.count_nonzero(ranked_lengths))
+    ranked = ranked[:n_active]
+    # active[p]: how many segments are longer than p — the prefix of
+    # the ranking that position p advances.
+    active = n_active - np.cumsum(np.bincount(ranked_lengths[:n_active]))[:-1]
+    # Every occurrence's slot in position-major, rank-minor order, so
+    # position p's gather indices are one contiguous slice.
+    rank_of = np.empty(n_segments, dtype=np.intp)
+    rank_of[ranked] = np.arange(n_active)
+    segment = np.repeat(np.arange(n_segments), lengths)
+    position = np.arange(indices.shape[0]) - starts[segment]
+    slot_base = np.zeros(active.size, dtype=np.intp)
+    np.cumsum(active[:-1], out=slot_base[1:])
+    gather = np.empty(indices.shape[0], dtype=np.intp)
+    gather[slot_base[position] + rank_of[segment]] = indices
+    acc = np.zeros((n_active, values.shape[1]), dtype=values.dtype)
+    offset = 0
+    for k in active.tolist():
+        acc[:k] += values.take(gather[offset:offset + k], axis=0)
+        offset += k
+    out[ranked] = acc
+    return out
 
 
 def token_matrix(

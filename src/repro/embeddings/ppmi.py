@@ -18,14 +18,16 @@ carry no distributional signal beyond "I am a number".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.embeddings.vocab import Vocabulary
 from repro.invariants import not_none
 from repro.text import TokenKind, classify_token
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 NUM_BUCKET = "<NUM>"
 PCT_BUCKET = "<PCT>"
@@ -108,6 +110,10 @@ class PpmiSvdEmbedding:
     ) -> sparse.csr_matrix:
         """One-directional windowed co-occurrence counts as an ``n x n`` CSR
         (integer counts in float64)."""
+        # scipy is a fit-time dependency only: importing it here keeps
+        # it out of every classify, serve and worker process.
+        from scipy import sparse
+
         rows: list[int] = []
         cols: list[int] = []
         for sentence in encoded:
@@ -125,6 +131,8 @@ class PpmiSvdEmbedding:
         ).tocsr()
 
     def fit(self, sentences: Iterable[Sequence[str]]) -> "PpmiSvdEmbedding":
+        from scipy import sparse
+
         corpus = [[self._bucket(t) for t in s] for s in sentences]
         vocab = Vocabulary.from_sentences(
             corpus, min_count=self.config.min_count

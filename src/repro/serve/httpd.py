@@ -374,6 +374,10 @@ class _InflightGauge:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket, so the stdlib's own
+    #: two-write replies (``send_error`` on a malformed request line)
+    #: do not wait on a delayed ACK either.
+    disable_nagle_algorithm = True
 
     #: Per-request trace id, minted at the top of each do_* method and
     #: echoed back in the ``X-Trace-Id`` response header.  Minted even
@@ -401,17 +405,41 @@ class _Handler(BaseHTTPRequestHandler):
         *,
         retry_after: float | None = None,
     ) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Write one whole response — status line, headers and body —
+        in a single send.
+
+        A headers-then-body pair of writes on a Nagle socket holds the
+        body until the client's delayed ACK of the headers (~40 ms per
+        reply on Linux); one buffer has nothing to hold back.  A client
+        that has already gone away is counted and logged in one line;
+        nothing more is written to its socket.
+        """
+        self.log_request(code)
+        head = [
+            f"{self.protocol_version} {code} {self.responses.get(code, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
         if retry_after is not None:
             # Retry-After is delta-seconds, integral per RFC 9110;
             # round up so "0.2s from now" never becomes "now".
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
+            head.append(f"Retry-After: {max(1, round(retry_after))}")
         if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+            head.append(f"X-Trace-Id: {self._trace_id}")
+        try:
+            self.wfile.write(
+                ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+            )
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            self.close_connection = True
+            self.service.metrics.inc("client_disconnects_total")
+            logger.info(
+                "client went away before the %d reply (trace_id=%s): %s",
+                code, self._trace_id, exc,
+            )
+            return
         self.service.metrics.inc("responses_total", code=str(code))
 
     def _send_json(

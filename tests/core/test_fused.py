@@ -319,6 +319,51 @@ class TestIndexedSegmentSum:
             )
             assert np.array_equal(stacked, separate)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_csr_matmul(self, dtype):
+        """The reference formulation: a CSR matrix with unit weights
+        whose indptr is the length prefix and whose column indices are
+        the gather indices, times ``values``.  The rank loop must
+        reproduce its float sequence exactly — fit's centroids and every
+        classify shard went through the CSR product before."""
+        from scipy import sparse
+
+        def csr_segment_sum(values, indices, lengths, n_segments):
+            indptr = np.zeros(n_segments + 1, dtype=np.intp)
+            np.cumsum(lengths, out=indptr[1:])
+            summer = sparse.csr_matrix(
+                (np.ones(indices.size, dtype=values.dtype), indices, indptr),
+                shape=(n_segments, values.shape[0]),
+            )
+            return np.asarray(summer @ values)
+
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            n_values = int(rng.integers(1, 120))
+            dim = int(rng.integers(1, 70))
+            # Mixed magnitudes make any reordering of the additions show
+            # up in the low bits.
+            scale = rng.choice([1e-3, 1.0, 1e4], size=(n_values, 1))
+            values = (rng.normal(size=(n_values, dim)) * scale).astype(dtype)
+            n_segments = int(rng.integers(1, 40))
+            lengths = rng.integers(0, (3, 12, 40)[trial % 3], size=n_segments)
+            lengths[rng.random(n_segments) < 0.25] = 0  # empty segments
+            lengths[rng.random(n_segments) < 0.15] = 1  # one-row segments
+            if trial % 4 == 0:  # a segment longer than 64
+                lengths[int(rng.integers(n_segments))] = int(rng.integers(65, 160))
+            lengths = lengths.astype(np.intp)
+            # Few distinct values: indices repeat within and across segments.
+            indices = rng.integers(
+                0, min(n_values, int(rng.integers(1, 8))), size=int(lengths.sum())
+            ).astype(np.intp)
+            if trial % 2:
+                indices = rng.integers(0, n_values, size=indices.size).astype(np.intp)
+            out = _indexed_segment_sum(values, indices, lengths, n_segments)
+            expected = csr_segment_sum(values, indices, lengths, n_segments)
+            assert out.dtype == expected.dtype == dtype
+            assert np.array_equal(out, expected)
+            assert out.tobytes() == expected.tobytes()
+
     def test_empty_indices(self):
         values = np.ones((4, 3), dtype=np.float32)
         out = _indexed_segment_sum(

@@ -1,6 +1,6 @@
 """Fixtures for the multiprocess subsystem tests.
 
-Worker processes are expensive to spawn (each re-imports numpy/scipy),
+Worker processes are expensive to spawn (each re-imports numpy and repro),
 so the pool fixtures are module scoped and the corpora stay small.
 """
 

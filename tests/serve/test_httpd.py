@@ -8,9 +8,13 @@ the result cache.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import multiprocessing
+import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -190,6 +194,88 @@ class TestObservability:
         _post(f"{base_url}/classify", body, "text/csv")
         _, metrics = _get(f"{base_url}/metrics")
         assert 'repro_stage_seconds_count{stage="classify"}' in metrics
+
+
+class TestWire:
+    def test_keep_alive_replies_do_not_wait_on_delayed_ack(
+        self, base_url, ckg_eval
+    ):
+        """Twenty replies on one keep-alive connection.  A reply written
+        as headers-then-body on a Nagle socket waits ~40 ms for the
+        client's delayed ACK, so 20 of them would take 0.8 s or more."""
+        host, port = urllib.parse.urlsplit(base_url).netloc.split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        body = table_to_csv(ckg_eval[6].table).encode()
+        headers = {"Content-Type": "text/csv"}
+        try:
+            conn.request("POST", "/classify", body, headers)  # warm-up
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("POST", "/classify", body, headers)
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["cached"] is True
+            elapsed = time.perf_counter() - start
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert json.loads(response.read())["status"] == "ok"
+            assert response.getheader("X-Trace-Id")
+            conn.request("GET", "/metrics")
+            response = conn.getresponse()
+            text = response.read().decode()
+            assert response.getheader("Content-Type").startswith("text/plain")
+        finally:
+            conn.close()
+        assert _metric(text, 'repro_requests_total{endpoint="/classify"}') == 21
+        assert elapsed < 0.4, f"20 keep-alive replies took {elapsed:.3f}s"
+
+    def test_client_gone_before_reply_is_counted_not_raised(
+        self, service, ckg_eval, capfd, caplog
+    ):
+        """The client resets its socket while its table is classified:
+        the reply's write fails, the server counts a disconnect, logs
+        one line, writes nothing more and keeps serving."""
+        entered, resume = threading.Event(), threading.Event()
+        classify = service.classify_table
+
+        def held_classify(table, *, model=""):
+            entered.set()
+            resume.wait(10)
+            return classify(table, model=model)
+
+        service.classify_table = held_classify
+        body = table_to_csv(ckg_eval[7].table).encode()
+        with _serving(service) as url:
+            host, port = urllib.parse.urlsplit(url).netloc.split(":")
+            client = socket.create_connection((host, int(port)), timeout=10)
+            client.sendall(
+                b"POST /classify HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: text/csv\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            assert entered.wait(10)
+            # Linger 0: close() sends a RST, so the server's next write
+            # on this connection fails instead of being buffered.
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.close()
+            resume.set()
+            deadline = time.monotonic() + 10
+            while (
+                service.metrics.counter("client_disconnects_total") < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            service.classify_table = classify
+            status, health = _get(f"{url}/healthz")
+        assert service.metrics.counter("client_disconnects_total") == 1
+        assert status == 200 and json.loads(health)["status"] == "ok"
+        assert service.metrics.counter("responses_total", code="500") == 0
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.exc_info]
 
 
 class TestErrors:

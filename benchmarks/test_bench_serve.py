@@ -53,7 +53,7 @@ def test_bench_bulk_vs_oneshot_loop(tmp_path, warm_pipelines):
     warm = load_pipeline(model)
     start = time.perf_counter()
     records = run_streaming(
-        warm, build_sources([str(p) for p in paths]), parse_workers=4
+        warm, build_sources([str(p) for p in paths])
     )
     t_bulk = time.perf_counter() - start
 
@@ -138,7 +138,7 @@ def test_bench_cache_second_pass(tmp_path, warm_pipelines):
 
     def _pass() -> list[dict]:
         return run_streaming(
-            pipeline, build_sources([table_dir]), cache=cache, parse_workers=4
+            pipeline, build_sources([table_dir]), cache=cache
         )
 
     start = time.perf_counter()

@@ -7,7 +7,7 @@ Usage (also via ``python -m repro``):
     repro classify table.csv [more.json -] --model model.npz [--evidence]
     repro serve --model model.npz --port 8080
     repro serve --model model_dir --procs 4
-    repro batch tables/ --model model.npz --workers 4 --out results.jsonl
+    repro batch tables/ --model model.npz --out results.jsonl
     repro experiment table5 --scale smoke
     repro experiment all --scale paper --out artifacts.txt
     repro trace table.csv --model model.npz --out trace.json
@@ -100,7 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--model", required=True, help="saved .npz archive")
     batch.add_argument(
         "--workers", type=int, default=None,
-        help="parse/classify thread workers (default: CPU count, capped)",
+        help="with --procs: parse threads that feed the worker processes "
+             "(default: CPU count, capped); without --procs, tables are "
+             "parsed and classified on one thread",
     )
     batch.add_argument(
         "--procs", type=int, default=None,
@@ -110,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--unordered", action="store_true",
-        help="emit records in completion order instead of input order "
-             "(first results sooner, lower peak memory)",
+        help="with --procs: emit records in completion order instead "
+             "of input order (first results sooner, lower peak memory)",
     )
     batch.add_argument(
         "--out",

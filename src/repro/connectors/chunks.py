@@ -8,8 +8,8 @@ Every connector speaks the same three-piece protocol:
   index — the unit of *work handoff* (one chunk becomes one fused
   classify shard downstream);
 * a :class:`ChunkQueue` is the bounded, multi-producer single-consumer
-  channel between parse threads and the classify stage — the unit of
-  *backpressure*.  A full queue blocks the producers, so a slow classify
+  channel between the ``--procs`` plane's parse threads and its classify
+  stage — the unit of *backpressure*.  A full queue blocks the producers, so a slow classify
   stage throttles parsing instead of letting parsed tables pile up
   without bound; the queue counts those waits and exposes its depth so
   the serving metrics can watch the pipeline breathe.

@@ -1,23 +1,26 @@
-"""The pipelined parse→pack→classify executor.
+"""The streaming parse→pack→classify executors of ``repro batch``.
 
-The sequential bulk path parses every file, then classifies every
-table; while the fused classify plane walks shard N, the parser sits
-idle, and vice versa.  This executor overlaps them: parse threads pull
-sources off a shared work list and feed :class:`TableChunk`s through a
-bounded :class:`ChunkQueue` while the consumer classifies each chunk as
-one fused shard — so parse of shard N+1 runs concurrently with the
-matmul walk of shard N, and a full queue throttles the parsers instead
-of letting parsed tables pile up without bound.
+Both consumers cut each source into :class:`TableChunk`s and classify
+each chunk as one fused shard, with records in ``(rank, index)`` input
+order.
 
-Two consumers share the protocol: :func:`run_streaming` classifies on
-the caller's thread against an in-process pipeline (the ``repro batch``
-default), and :func:`run_streaming_pool` ships chunks to a
-:class:`~repro.parallel.pool.ShardedPool` so parse threads feed worker
-*processes* (``--procs``).  Windowed classification rides the same
-chunks: a windowed source item carries its
-:class:`~repro.connectors.window.WindowPlan` and its table *is* the
-bounded window grid, so the classify stage needs no special casing
-beyond emitting the windowed record shape.
+* :func:`run_streaming` (the thread-mode default) runs on the caller's
+  thread: it reads the sources in order, parses a chunk, classifies
+  it, writes its records, and moves on.  Table parsing is pure Python
+  under the GIL, so parse threads would only compete with the classify
+  stage for one interpreter; the loop keeps memory bounded by one
+  chunk without a queue or a thread.
+* :func:`run_streaming_pool` (``--procs``) ships chunks to a
+  :class:`~repro.parallel.pool.ShardedPool`.  Here parse threads pull
+  sources off a shared work list and feed a bounded
+  :class:`ChunkQueue`, so parsing overlaps with classification on the
+  worker *processes*, and a full queue throttles the parsers instead
+  of letting parsed tables pile up without bound.
+
+Windowed classification rides the same chunks: a windowed source item
+carries its :class:`~repro.connectors.window.WindowPlan` and its table
+*is* the bounded window grid, so the classify stage needs no special
+casing beyond emitting the windowed record shape.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from repro import obs
 from repro.connectors.chunks import ChunkQueue, SourceItem, TableChunk
 from repro.connectors.sources import TableSource
-from repro.connectors.window import WindowConfig, build_window, windowed_record
+from repro.connectors.window import (
+    RowStream,
+    WindowConfig,
+    build_window,
+    windowed_record,
+)
 from repro.core.pipeline import MetadataPipeline
 from repro.serve.cache import LRUCache
 from repro.serve.metrics import ServiceMetrics
@@ -61,50 +69,52 @@ def _expand_units(
     return units
 
 
-def _produce_unit(
+def _unit_chunks(
     rank: int,
     source: TableSource,
-    out: ChunkQueue,
     chunk_size: int,
     window: WindowConfig | None,
-) -> None:
-    """Parse one unit into chunks; any failure is one error item."""
+) -> Iterator[TableChunk]:
+    """Parse one unit into chunks; any failure is one error item.
+
+    A generator: the consumer handles each chunk outside this frame, so
+    a classify or sink failure propagates to the caller instead of
+    being caught here as a failure of the source.
+    """
     index = 0
     buffer: list[SourceItem] = []
-
-    def flush() -> None:
-        nonlocal index
-        if buffer:
-            out.put(TableChunk(rank=rank, index=index, items=tuple(buffer)))
-            index += len(buffer)
-            buffer.clear()
-
     try:
         streams = source.row_streams() if window is not None else None
-        if streams is not None:
-            for stream in streams:
-                try:
-                    plan = build_window(stream, window)
-                    item = SourceItem(
-                        source=plan.source, table=plan.window, window=plan
-                    )
-                except Exception as exc:  # noqa: BLE001 - per-stream isolation
-                    item = SourceItem(source=stream.source, error=str(exc))
-                buffer.append(item)
-                # A window is a whole table's worth of parse work; ship
-                # it immediately so classify starts while the next
-                # stream is still being read.
-                flush()
-            return
-        for item in source.items():
+        if window is not None and streams is not None:
+            # A window is a whole table's worth of parse work; ship it
+            # alone so classify starts before the next stream is read.
+            chunk_size = 1
+            items: Iterator[SourceItem] = _window_items(streams, window)
+        else:
+            items = source.items()
+        for item in items:
             buffer.append(item)
             if len(buffer) >= chunk_size:
-                flush()
+                yield TableChunk(rank=rank, index=index, items=tuple(buffer))
+                index += len(buffer)
+                buffer = []
     except Exception as exc:  # noqa: BLE001 - per-unit isolation
         logger.warning("source %s failed: %s", source.spec, exc)
         buffer.append(SourceItem(source=source.spec, error=str(exc)))
-    finally:
-        flush()
+    if buffer:
+        yield TableChunk(rank=rank, index=index, items=tuple(buffer))
+
+
+def _window_items(
+    streams: Iterator[RowStream], window: WindowConfig
+) -> Iterator[SourceItem]:
+    for stream in streams:
+        try:
+            plan = build_window(stream, window)
+            item = SourceItem(source=plan.source, table=plan.window, window=plan)
+        except Exception as exc:  # noqa: BLE001 - per-stream isolation
+            item = SourceItem(source=stream.source, error=str(exc))
+        yield item
 
 
 def _parse_thread(
@@ -119,7 +129,8 @@ def _parse_thread(
                 rank, source = units.popleft()  # deque.popleft is atomic
             except IndexError:
                 return
-            _produce_unit(rank, source, out, chunk_size, window)
+            for chunk in _unit_chunks(rank, source, chunk_size, window):
+                out.put(chunk)
     finally:
         out.producer_done()
 
@@ -223,48 +234,29 @@ def run_streaming(
     *,
     cache: LRUCache | None = None,
     model: str = "",
-    parse_workers: int | None = None,
-    chunk_size: int = 16,
-    queue_capacity: int = 8,
+    chunk_size: int = 64,
     window: WindowConfig | None = None,
     metrics: ServiceMetrics | None = None,
-    ordered: bool = True,
     sink: "Sink | None" = None,
 ) -> list[dict]:
-    """Pipelined parse→pack→classify against an in-process pipeline.
+    """Parse→pack→classify against an in-process pipeline, on this thread.
 
-    Parse threads feed the bounded queue; the caller's thread is the
-    classify stage.  ``ordered=True`` returns (and writes to ``sink``)
-    records in input order; ``ordered=False`` emits them as chunks
-    finish — first results sooner, and with a sink, bounded sink
-    latency.
+    Reads the sources in order and classifies each chunk of
+    ``chunk_size`` parsed tables as one fused shard, so memory stays
+    bounded by one chunk.  Records come back (and go to ``sink`` as
+    each chunk finishes) in input order.  A classify or sink exception
+    propagates; only parse failures become error records.
     """
-    if parse_workers is None:
-        from repro.parallel.pool import cpu_worker_default
-
-        parse_workers = cpu_worker_default(ceiling=4)
-    collected: list[tuple[int, int, list[dict]]] = []
-
-    def consume(chunk: TableChunk) -> None:
-        records = classify_chunk_items(
-            pipeline, chunk.items, cache, model=model, metrics=metrics
-        )
-        if not ordered and sink is not None:
-            for record in records:
-                sink.write(record)  # type: ignore[attr-defined]
-        collected.append((chunk.rank, chunk.index, records))
-
-    _pump(
-        sources, consume,
-        parse_workers=parse_workers, chunk_size=chunk_size,
-        queue_capacity=queue_capacity, window=window, metrics=metrics,
-    )
-    if ordered:
-        collected.sort(key=lambda entry: (entry[0], entry[1]))
-    records = [r for _, _, chunk_records in collected for r in chunk_records]
-    if ordered and sink is not None:
-        for record in records:
-            sink.write(record)  # type: ignore[attr-defined]
+    records: list[dict] = []
+    for rank, source in enumerate(sources):
+        for chunk in _unit_chunks(rank, source, chunk_size, window):
+            chunk_records = classify_chunk_items(
+                pipeline, chunk.items, cache, model=model, metrics=metrics
+            )
+            if sink is not None:
+                for record in chunk_records:
+                    sink.write(record)  # type: ignore[attr-defined]
+            records.extend(chunk_records)
     return records
 
 

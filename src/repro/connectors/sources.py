@@ -3,8 +3,9 @@
 A :class:`TableSource` turns some external thing — files on disk, a
 JSONL stream, an xlsx workbook, a DB-API cursor, stdin — into an
 iterator of :class:`~repro.connectors.chunks.SourceItem`, parsing
-lazily so the pipelined executor can overlap parse with classification
-and a bad input costs one error item, never the run.
+lazily so memory stays bounded by one chunk (and, under ``--procs``,
+parse overlaps with classification) and a bad input costs one error
+item, never the run.
 
 ``build_sources`` is the spec front door used by ``repro batch``::
 

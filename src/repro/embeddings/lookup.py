@@ -9,7 +9,11 @@ OOV handling matters in table corpora: data cells are full of values the
 training vocabulary never saw (ids, rare entities, fresh numbers).  The
 default back-off embeds an OOV token as the mean of hashed character
 n-gram vectors — the fastText trick — so unseen-but-similar strings map
-to nearby vectors instead of a shared zero.
+to nearby vectors instead of a shared zero.  One lookup call computes
+the back-off for all of its OOV tokens in one pass: each distinct
+n-gram's seeded vector is built once per call, and every token takes
+its mean from the gathered rows.  Nothing carries over to the next
+call.
 
 The embedder holds no token cache and no mutable state, so one instance
 is safe to share across serve request threads.  The program's one token
@@ -105,8 +109,14 @@ class TermEmbedder:
             # for backends without batch_vectors; nothing to batch through.
             raw = [self.model.vector(t) for t in tokens]
         matrix = np.empty((len(tokens), self.dim))
-        for row, (token, vec) in enumerate(zip(tokens, raw)):
-            matrix[row] = self._oov_vector(token) if vec is None else vec
+        missing: list[int] = []
+        for row, vec in enumerate(raw):
+            if vec is None:
+                missing.append(row)
+            else:
+                matrix[row] = vec
+        if missing:
+            matrix[missing] = self._backoff([tokens[row] for row in missing])
         if self._centering is not None:
             # Removing the corpus-mean direction ("all-but-the-top")
             # spreads the angle spectrum; without it, trained embedding
@@ -115,19 +125,35 @@ class TermEmbedder:
             matrix -= self._centering
         return matrix
 
-    def _oov_vector(self, token: str) -> np.ndarray:
+    def _backoff(self, tokens: Sequence[str]) -> np.ndarray:
+        """OOV vectors for one miss batch -> float64 ``(len(tokens), dim)``."""
+        dim = self.dim
         if self._oov == "zero":
-            return np.zeros(self.dim)
+            return np.zeros((len(tokens), dim))
         if self._oov == "hash":
-            return _seeded_vector(f"oov::{token}", self.dim)
-        # fastText-style: mean of hashed char n-grams of <token>.
-        padded = f"<{token}>"
+            return np.stack([_seeded_vector(f"oov::{t}", dim) for t in tokens])
+        # fastText-style: each token is the mean of the hashed char
+        # n-grams of <token>.  Tokens of one batch share most of their
+        # n-grams, so each distinct n-gram's seeded vector is built once
+        # and every token gathers its rows from that table.
         n = self._ngram
-        grams = [padded[i : i + n] for i in range(max(1, len(padded) - n + 1))]
-        vectors = [_seeded_vector(f"ng::{g}", self.dim) for g in grams]
-        mean = np.mean(vectors, axis=0)
-        norm = np.linalg.norm(mean)
-        return mean / norm if norm > 0 else mean
+        gram_ids: dict[str, int] = {}
+        token_grams: list[list[int]] = []
+        for token in tokens:
+            padded = f"<{token}>"
+            token_grams.append([
+                gram_ids.setdefault(padded[i : i + n], len(gram_ids))
+                for i in range(max(1, len(padded) - n + 1))
+            ])
+        gram_rows = np.empty((len(gram_ids), dim))
+        for gram, gram_id in gram_ids.items():
+            gram_rows[gram_id] = _seeded_vector(f"ng::{gram}", dim)
+        out = np.empty((len(tokens), dim))
+        for row, ids in enumerate(token_grams):
+            mean = np.mean(gram_rows[ids], axis=0)
+            norm = np.linalg.norm(mean)
+            out[row] = mean / norm if norm > 0 else mean
+        return out
 
     def vector(self, token: str) -> np.ndarray:
         """Embedding for one token; OOV resolves via the back-off.

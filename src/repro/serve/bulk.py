@@ -2,8 +2,8 @@
 helpers.
 
 :func:`run_bulk` loads the model once and streams every input through
-the pipelined plane of :mod:`repro.connectors.pipelined` — on the
-calling process, or on a :class:`~repro.parallel.pool.ShardedPool` with
+the streaming plane of :mod:`repro.connectors.pipelined` — on the
+calling thread, or on a :class:`~repro.parallel.pool.ShardedPool` with
 ``procs``.  The helpers here are what every classify path shares: table
 parsing (:func:`table_from_text`), the result-cache front
 (:func:`classify_tables_cached`), and the one-per-table JSON record
@@ -234,21 +234,22 @@ def run_bulk(
 ) -> list[dict]:
     """The ``repro batch`` entry point: load once, classify many.
 
-    Runs on the pipelined streaming plane (:mod:`repro.connectors`):
-    parse threads feed the fused classify stage through a backpressured
-    bounded queue, inputs may be files, dirs, globs, ``sql:``/``jsonl:``/``xlsx:`` specs, or ``-`` (stdin,
-    content-sniffed), and ``out`` may be a JSONL path or a
+    Runs on the streaming plane (:mod:`repro.connectors`): inputs may
+    be files, dirs, globs, ``sql:``/``jsonl:``/``xlsx:`` specs, or
+    ``-`` (stdin, content-sniffed), and ``out`` may be a JSONL path or a
     ``sql:db#table`` sink spec.  ``window_rows``/``window_cols`` switch
     row-streamable sources (CSV files, DB cursors, stdin CSV) to
     bounded-memory windowed classification.
 
-    ``workers`` sizes the parse thread pool (``None`` = CPU-aware
-    default); classification runs on the caller's thread.  ``procs``
-    switches the classify stage to worker processes: the model is loaded once per worker (memory-mapped when
-    ``model_path`` is a directory store) and chunks classify truly
-    concurrently.  ``ordered=False`` emits records as chunks finish
-    instead of in input order.  ``trace_dir`` (procs only) collects
-    per-worker span files for :func:`repro.parallel.traces.merge_traces`.
+    By default the caller's thread parses and classifies chunk by chunk
+    (:func:`~repro.connectors.pipelined.run_streaming`).  ``procs``
+    switches the classify stage to worker processes: the model is
+    loaded once per worker (memory-mapped when ``model_path`` is a
+    directory store), ``workers`` parse threads (``None`` = CPU-aware
+    default) feed them through a backpressured bounded queue, and
+    ``ordered=False`` emits records as chunks finish instead of in
+    input order.  ``trace_dir`` (procs only) collects per-worker span
+    files for :func:`repro.parallel.traces.merge_traces`.
     """
     from repro.connectors.pipelined import run_streaming, run_streaming_pool
     from repro.connectors.sinks import build_sink
@@ -288,8 +289,7 @@ def run_bulk(
             logger.info("streaming %d sources", len(sources))
             records = run_streaming(
                 pipeline, sources, cache=cache, model=name,
-                parse_workers=workers, window=window, metrics=metrics,
-                ordered=ordered, sink=sink,
+                window=window, metrics=metrics, sink=sink,
             )
     finally:
         sink.close()

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
+from repro.connectors import pipelined
 from repro.connectors.pipelined import run_streaming, run_streaming_pool
 from repro.connectors.sinks import JsonlSink
 from repro.connectors.sources import build_sources
@@ -38,7 +40,6 @@ class TestRunStreaming:
         streamed = run_streaming(
             hashed_pipeline,
             build_sources([str(p) for p in paths]),
-            parse_workers=2,
             chunk_size=3,
         )
         assert [_normalize(r) for r in streamed] == [
@@ -51,7 +52,6 @@ class TestRunStreaming:
         records = run_streaming(
             hashed_pipeline,
             build_sources([str(corpus_dir)]),
-            parse_workers=3,
             chunk_size=1,
         )
         names = [r["name"] for r in records]
@@ -81,22 +81,84 @@ class TestRunStreaming:
         assert metrics.counter("ingest_chunks_total") >= 4
         assert metrics.counter("ingest_errors_total") == 0
 
-    def test_unordered_sink_receives_every_record(
+    def test_sink_receives_every_record_in_input_order(
         self, hashed_pipeline, corpus_dir, tmp_path
     ):
         out = tmp_path / "out.jsonl"
         with JsonlSink(out) as sink:
-            run_streaming(
+            records = run_streaming(
                 hashed_pipeline,
                 build_sources([str(corpus_dir)]),
-                parse_workers=2,
-                ordered=False,
+                chunk_size=3,
                 sink=sink,
             )
-        lines = out.read_text().splitlines()
-        assert len(lines) == 8
-        names = {json.loads(line)["name"] for line in lines}
-        assert names == {f"table-{i:02d}" for i in range(8)}
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["name"] for r in lines] == [
+            f"table-{i:02d}" for i in range(8)
+        ]
+        assert lines == records
+
+    def test_sink_written_as_each_chunk_finishes(
+        self, hashed_pipeline, corpus_dir, monkeypatch
+    ):
+        # The sink sees chunk k's records before chunk k+1 is classified.
+        written: list[dict] = []
+        seen_at_classify: list[int] = []
+        classify = pipelined.classify_chunk_items
+
+        def spy(pipeline, items, cache, **kwargs):
+            seen_at_classify.append(len(written))
+            return classify(pipeline, items, cache, **kwargs)
+
+        class ListSink:
+            def write(self, record):
+                written.append(record)
+
+        monkeypatch.setattr(pipelined, "classify_chunk_items", spy)
+        run_streaming(
+            hashed_pipeline, build_sources([str(corpus_dir)]),
+            chunk_size=3, sink=ListSink(),
+        )
+        assert seen_at_classify == [0, 3, 6]
+        assert len(written) == 8
+
+    def test_starts_no_threads(self, hashed_pipeline, corpus_dir, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"thread {self.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        records = run_streaming(
+            hashed_pipeline, build_sources([str(corpus_dir)]), chunk_size=3
+        )
+        assert len(records) == 8
+
+    def test_classify_failure_propagates(
+        self, hashed_pipeline, corpus_dir, monkeypatch
+    ):
+        # A consumer failure is not a parse failure: it must leave
+        # run_streaming, not become a per-source error record.
+        def broken(*args, **kwargs):
+            raise RuntimeError("classify stage died")
+
+        monkeypatch.setattr(pipelined, "classify_chunk_items", broken)
+        with pytest.raises(RuntimeError, match="classify stage died"):
+            run_streaming(hashed_pipeline, build_sources([str(corpus_dir)]))
+
+    def test_sink_failure_propagates(self, hashed_pipeline, corpus_dir):
+        class FullSink:
+            writes = 0
+
+            def write(self, record):
+                self.writes += 1
+                raise OSError("disk full")
+
+        sink = FullSink()
+        with pytest.raises(OSError, match="disk full"):
+            run_streaming(
+                hashed_pipeline, build_sources([str(corpus_dir)]),
+                chunk_size=3, sink=sink,
+            )
+        assert sink.writes == 1
 
     def test_windowed_streaming(self, hashed_pipeline, corpus_dir):
         records = run_streaming(
@@ -118,7 +180,6 @@ class TestRunStreaming:
             build_sources([str(tmp_path)]),
             cache=cache,
             chunk_size=1,
-            parse_workers=1,
         )
         assert len(records) == 2
         assert any(r.get("cached") for r in records)

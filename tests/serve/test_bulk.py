@@ -229,7 +229,7 @@ class TestClassifyPaths:
         self, hashed_pipeline, table_dir, ckg_eval
     ):
         records = run_streaming(
-            hashed_pipeline, build_sources([str(table_dir)]), parse_workers=4
+            hashed_pipeline, build_sources([str(table_dir)])
         )
         assert len(records) == 6
         for record, item in zip(records, ckg_eval[:6]):
@@ -244,7 +244,7 @@ class TestClassifyPaths:
         for _ in range(2):
             records = run_streaming(
                 hashed_pipeline, build_sources([str(table_dir)]),
-                cache=cache, parse_workers=2,
+                cache=cache,
             )
         assert all(r["cached"] for r in records)
         assert cache.stats().hits >= 6
@@ -257,7 +257,7 @@ class TestClassifyPaths:
         metrics = ServiceMetrics()
         records = run_streaming(
             hashed_pipeline, build_sources([str(good), str(bad)]),
-            parse_workers=2, metrics=metrics,
+            metrics=metrics,
         )
         by_source = {r["source"]: r for r in records}
         assert "error" in by_source[str(bad)]
@@ -350,7 +350,7 @@ class TestEncodingTolerance:
             "tête,corps\nxyz,1\n".encode("latin-1")
         )
         records = run_streaming(
-            hashed_pipeline, build_sources([str(tmp_path)]), parse_workers=1
+            hashed_pipeline, build_sources([str(tmp_path)])
         )
         assert len(records) == 2
         assert all("error" not in r for r in records)
@@ -383,7 +383,7 @@ class TestHtmlIngestion:
     def test_html_classifies_in_bulk(self, tmp_path, hashed_pipeline):
         (tmp_path / "page.html").write_text(self.MARKUP)
         records = run_streaming(
-            hashed_pipeline, build_sources([str(tmp_path)]), parse_workers=1
+            hashed_pipeline, build_sources([str(tmp_path)])
         )
         assert len(records) == 1
         assert "error" not in records[0]
@@ -456,5 +456,18 @@ class TestRunBulkStreaming:
             model, [str(table_dir)], out=tmp_path / "o.jsonl", metrics=metrics
         )
         assert metrics.counter("ingest_tables_total") == 6
-        rendered = metrics.render()
-        assert "repro_ingest_queue_depth" in rendered
+        # Thread mode parses and classifies on one thread: no chunk
+        # queue, so no queue-depth gauge.
+        assert "repro_ingest_queue_depth" not in metrics.render()
+
+    def test_metrics_wiring_procs(self, model, table_dir, tmp_path):
+        from repro.serve.bulk import run_bulk
+
+        metrics = ServiceMetrics()
+        run_bulk(
+            model, [str(table_dir)], out=tmp_path / "o.jsonl",
+            metrics=metrics, procs=1,
+        )
+        assert metrics.counter("ingest_tables_total") == 6
+        # The parse threads feeding --procs workers report their queue.
+        assert "repro_ingest_queue_depth" in metrics.render()

@@ -384,6 +384,84 @@ class TestBatchProcs:
 
         assert normalize(out_procs) == normalize(out_threads)
 
+    def test_procs_matches_thread_path_on_word2vec_store(
+        self, ckg_train, ckg_eval, tmp_path, capsys
+    ):
+        """Word2vec stores reach the n-gram back-off in every worker.
+
+        The hashed backend knows every token, so only a trained
+        vocabulary sends cells through the OOV path on both planes.
+        """
+        import json
+
+        from repro.core.persistence import load_pipeline, save_pipeline_dir
+        from repro.core.pipeline import MetadataPipeline, PipelineConfig
+        from repro.embeddings.word2vec import Word2VecConfig
+        from repro.serve.bulk import table_from_path
+        from repro.tables.jsonio import table_to_json
+        from repro.tables.markdown import table_to_markdown
+        from repro.tables.model import Table
+        from repro.text import tokenize_cells
+
+        fitted = MetadataPipeline(PipelineConfig(
+            embedding="word2vec",
+            word2vec=Word2VecConfig(dim=16, epochs=1, seed=0),
+            n_pairs=50,
+            use_contrastive=False,
+        )).fit(list(ckg_train[:16]))
+        store = save_pipeline_dir(fitted, tmp_path / "w2v_dir")
+        d = tmp_path / "mixed"
+        d.mkdir()
+        writers = {
+            "csv": table_to_csv,
+            "json": table_to_json,
+            "md": table_to_markdown,
+            "html": lambda t: "<table>" + "".join(
+                "<tr>" + "".join(f"<td>{c}</td>" for c in row) + "</tr>"
+                for row in t.rows
+            ) + "</table>",
+        }
+        for i, item in enumerate(ckg_eval[:8]):
+            # Unseen cell values: ids and rare strings, unicode included.
+            rows = [list(row) for row in item.table.rows]
+            for r, row in enumerate(rows[1:], start=1):
+                row[-1] = f"zq{i}x{r}-vörk{r * 7}"
+            suffix = list(writers)[i % len(writers)]
+            table = Table(rows, name=f"t{i}")
+            (d / f"t{i}.{suffix}").write_text(writers[suffix](table))
+
+        outs = {}
+        for plane, flags in (("procs", ["--procs", "2"]), ("threads", [])):
+            outs[plane] = tmp_path / f"{plane}.jsonl"
+            assert main([
+                "batch", str(d), "--model", str(store), "--cache-size", "0",
+                "--out", str(outs[plane]), *flags,
+            ]) == 0
+
+        def normalize(path):
+            records = [json.loads(l) for l in path.read_text().splitlines()]
+            for record in records:
+                record.pop("seconds", None)
+                record.pop("cached", None)
+            return records
+
+        procs, threads = normalize(outs["procs"]), normalize(outs["threads"])
+        assert procs == threads
+        assert len(threads) == 8 and all("error" not in r for r in threads)
+        reloaded = load_pipeline(store)
+        model = reloaded.embedder.model
+        oov = 0
+        for record in threads:
+            table = table_from_path(record["source"])
+            annotation = reloaded.classify(table)
+            assert record["row_labels"] == [str(l) for l in annotation.row_labels]
+            assert record["col_labels"] == [str(l) for l in annotation.col_labels]
+            cells = [cell for row in table.rows for cell in row]
+            oov += sum(
+                model.vector(tok.text) is None for tok in tokenize_cells(cells)
+            )
+        assert oov > 0
+
     def test_procs_trace_out_merges_worker_spans(
         self, model_dir, table_dir, tmp_path, capsys
     ):

@@ -25,7 +25,6 @@ from repro.core.angles import (
     jaccard_similarity,
 )
 from repro.core.aggregate import (
-    AggregationConfig,
     aggregate_cols,
     aggregate_level,
     aggregate_rows,
@@ -61,7 +60,6 @@ from repro.core.selftrain import refine_self_training
 from repro.core.pipeline import HybridClassifier, MetadataPipeline, PipelineConfig
 
 __all__ = [
-    "AggregationConfig",
     "AngleRange",
     "BootstrapLabels",
     "CentroidSet",

@@ -7,8 +7,8 @@ against (Euclidean, Jaccard — kept for the ablation bench), and the
 :class:`AngleRange` used to represent centroid intervals like
 "C_MDE-DE = 60 to 75".
 
-Zero aggregated vectors (fully blank levels, OOV-only levels under the
-"zero" back-off) have no direction; by convention their angle to
+Zero aggregated vectors (fully blank levels, levels whose terms all
+embed to zero) have no direction; by convention their angle to
 anything is 90 degrees — maximally uninformative, which keeps them out
 of both the metadata and the data ranges.
 """

@@ -19,13 +19,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.aggregate import AggregationConfig, DEFAULT_AGGREGATION
 from repro.core.angles import AngleRange, angle_between
-from repro.core.embedding_plane import level_vectors
 from repro.core.bootstrap import BootstrapLabels
-from repro.embeddings.lookup import TermEmbedder
 
 _EPS = 1e-12
+
+#: A batch of levels -> their vectors, ``(len(levels), dim)`` also for
+#: an empty batch: the fit side's recipe
+#: (:meth:`repro.core.pipeline.MetadataPipeline.fit_level_vectors`).
+LevelVectors = Callable[[Sequence[Sequence[object]]], np.ndarray]
 
 # Salts separating the two cross-table pair-sampling streams derived
 # from the caller's seed.  The streams must not depend on pool sizes
@@ -170,11 +172,10 @@ class CentroidSamples:
 
 
 def collect_centroid_samples(
-    embedder: TermEmbedder,
+    vectors_of: LevelVectors,
     labeled: Iterable[BootstrapLabels],
     *,
     axis: str = "rows",
-    aggregation: AggregationConfig = DEFAULT_AGGREGATION,
     max_levels: int = 5,
     max_data_levels_per_table: int = 20,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -214,12 +215,8 @@ def collect_centroid_samples(
         data_idx = data_idx[:max_data_levels_per_table]
 
         # One batched lookup covers every bootstrap level of the table.
-        meta_vecs = list(
-            level_vectors(embedder, [level_of(i) for i in meta_idx], aggregation)
-        )
-        data_vecs = list(
-            level_vectors(embedder, [level_of(i) for i in data_idx], aggregation)
-        )
+        meta_vecs = list(vectors_of([level_of(i) for i in meta_idx]))
+        data_vecs = list(vectors_of([level_of(i) for i in data_idx]))
         if transform is not None:
             meta_vecs = [transform(v) for v in meta_vecs]
             data_vecs = [transform(v) for v in data_vecs]
@@ -377,11 +374,10 @@ def finalize_centroids(
 
 
 def estimate_centroids(
-    embedder: TermEmbedder,
+    vectors_of: LevelVectors,
     labeled: Iterable[BootstrapLabels],
     *,
     axis: str = "rows",
-    aggregation: AggregationConfig = DEFAULT_AGGREGATION,
     trim: float = 0.05,
     max_levels: int = 5,
     max_data_levels_per_table: int = 20,
@@ -391,6 +387,7 @@ def estimate_centroids(
 ) -> CentroidSet:
     """Estimate a :class:`CentroidSet` from bootstrap-labeled tables.
 
+    ``vectors_of`` aggregates a batch of levels (:data:`LevelVectors`).
     ``axis`` selects rows (HMD) or columns (VMD).  Angle samples are
     collected *within* each table (the definitions compare levels of a
     table), then pooled across the corpus and trimmed into ranges.
@@ -407,17 +404,16 @@ def estimate_centroids(
     :func:`finalize_centroids`.
     """
     samples = collect_centroid_samples(
-        embedder,
+        vectors_of,
         labeled,
         axis=axis,
-        aggregation=aggregation,
         max_levels=max_levels,
         max_data_levels_per_table=max_data_levels_per_table,
         transform=transform,
     )
     return finalize_centroids(
         samples,
-        fallback_dim=embedder.dim,
+        fallback_dim=vectors_of([]).shape[1],
         trim=trim,
         min_range_width=min_range_width,
         seed=seed,

@@ -19,10 +19,12 @@ can render the annotated example of the paper's Fig. 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
+import numpy as np
+
+from repro.core.aggregate import aggregate_cols, aggregate_rows
 from repro.core.angles import AngleRange, angle_between, segmented_walk_angles
 from repro import obs
 from repro.core import fused
@@ -44,7 +46,6 @@ class ClassifierConfig:
     range_margin: float = 2.0  # degrees of slack on centroid ranges
     ref_slack: float = 10.0  # reference-angle tolerance in overlap ties
     ref_override: float = 10.0  # min ref-angle gap to overrule a range hit
-    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
 
     def __post_init__(self) -> None:
         if self.max_hmd_depth < 1 or self.max_vmd_depth < 1:
@@ -158,15 +159,15 @@ class MetadataClassifier:
     ]:
         """Algorithm 1 over every row and column of a shard of tables.
 
-        :func:`repro.core.fused.level_blocks` builds every level vector
-        of the shard; one batched angle pass then feeds the decision
-        walk of each table's axes.
+        :meth:`_level_blocks` builds every level vector of the shard;
+        one batched angle pass then feeds the decision walk of each
+        table's axes.
         """
         config = self.config
         row_centroids, col_centroids = self.row_centroids, self.col_centroids
         with obs.span("classify", n_tables=len(tables), fused=True):
             row_matrix, col_matrix, row_offsets, col_offsets = (
-                fused.level_blocks(self, tables)
+                self._level_blocks(tables)
             )
             with obs.span("fused.walk"):
                 row_segments = segmented_walk_angles(
@@ -216,6 +217,26 @@ class MetadataClassifier:
                         (annotation, tuple(row_evidence), tuple(col_evidence))
                     )
         return out
+
+    def _level_blocks(
+        self, tables: Sequence[Table]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every projected row and column vector of a shard of tables:
+        the Def. 8 sums of the fused plane (:mod:`repro.core.fused`).
+
+        Returns ``(row_matrix, col_matrix, row_offsets, col_offsets)``;
+        the ``(n_tables + 1,)`` offset prefixes slice the matrices back
+        into per-table blocks.  Degenerate tables (zero rows, zero
+        columns, all-blank grids) yield empty or all-zero blocks, never
+        an exception.
+        """
+        pack = fused.pack_corpus(tables)
+        with obs.span("fused.aggregate", tokens=pack.n_tokens):
+            rows, cols = fused.fused_level_matrices(self.embedder, pack)
+            if self.projection is not None:
+                rows = self.projection.transform(rows)
+                cols = self.projection.transform(cols)
+        return rows, cols, pack.row_offsets, pack.col_offsets
 
     # ------------------------------------------------------------------
     # the axis walk
@@ -413,7 +434,7 @@ def reference_classify(
         (aggregate_cols, classifier.col_centroids, config.max_vmd_depth,
          LevelKind.VMD, False),
     ):
-        vectors = aggregate(classifier.embedder, table, config.aggregation)
+        vectors = aggregate(classifier.embedder, table)
         if classifier.projection is not None:
             vectors = classifier.projection.transform(vectors)
         axis_labels, _ = classifier._walk_axis(

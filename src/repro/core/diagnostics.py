@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.aggregate import AggregationConfig, DEFAULT_AGGREGATION
 from repro.core.angles import angle_between
 from repro.core.bootstrap import BootstrapLabels
 from repro.core.embedding_plane import level_vectors
@@ -42,7 +41,6 @@ def angle_spectrum(
     labeled: Sequence[BootstrapLabels],
     *,
     axis: str = "rows",
-    aggregation: AggregationConfig = DEFAULT_AGGREGATION,
     max_levels_per_table: int = 8,
 ) -> AngleSpectrum:
     """Collect the three angle populations from labeled tables."""
@@ -60,7 +58,7 @@ def angle_spectrum(
             data_idx = item.data_col_indices[:max_levels_per_table]
             level_of = table.col
         vectors = level_vectors(
-            embedder, [level_of(i) for i in (*meta_idx, *data_idx)], aggregation
+            embedder, [level_of(i) for i in (*meta_idx, *data_idx)]
         )
         n_meta = len(meta_idx)
         meta = [v for v in vectors[:n_meta] if np.linalg.norm(v) > _EPS]

@@ -14,10 +14,9 @@ store the classify plane reads:
    adds every level's token rows.
 
 The result is the scalar :func:`~repro.core.aggregate.aggregate_level`
-summation in float32, returned as float64.  ``concat`` aggregation,
-which the segment sum cannot express, and a full global vocabulary fall
-back to the scalar implementation.  Classification itself runs on
-:mod:`repro.core.fused`.
+summation in float32, returned as float64.  A full global vocabulary
+falls back to the scalar implementation.  Classification itself runs
+on :mod:`repro.core.fused`.
 """
 
 from __future__ import annotations
@@ -27,32 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.aggregate import (
-    AggregationConfig,
-    DEFAULT_AGGREGATION,
-    aggregate_level,
-)
-from repro.core.fused import (
-    _cell_token_ids,
-    _id_rows,
-    _indexed_segment_sum,
-    supports_fast_path,
-)
+from repro.core.aggregate import aggregate_level
+from repro.core.fused import _cell_token_ids, _id_rows, _indexed_segment_sum
 from repro.embeddings.lookup import TermEmbedder
 
 
-def _scalar_levels(
-    embedder: TermEmbedder,
-    levels: Sequence[Sequence[object]],
-    config: AggregationConfig,
-) -> np.ndarray:
-    return np.stack([aggregate_level(embedder, cells, config) for cells in levels])
-
-
 def level_vectors(
-    embedder: TermEmbedder,
-    levels: Sequence[Sequence[object]],
-    config: AggregationConfig = DEFAULT_AGGREGATION,
+    embedder: TermEmbedder, levels: Sequence[Sequence[object]]
 ) -> np.ndarray:
     """Aggregate an arbitrary batch of levels -> ``(len(levels), dim)``.
 
@@ -64,20 +44,19 @@ def level_vectors(
     """
     if not levels:
         return np.empty((0, embedder.dim))
-    if not supports_fast_path(config):
-        return _scalar_levels(embedder, levels, config)
 
     with obs.span("embed.levels", n_levels=len(levels)):
-        lowercase = config.lowercase
         parts: list[np.ndarray] = []
         lengths = np.zeros(len(levels), dtype=np.intp)
         for index, cells in enumerate(levels):
             n_tokens = 0
             for cell in cells:
                 text = cell if isinstance(cell, str) else "" if cell is None else str(cell)
-                ids = _cell_token_ids(text, lowercase)
+                ids = _cell_token_ids(text)
                 if ids is None:  # the global vocabulary is full
-                    return _scalar_levels(embedder, levels, config)
+                    return np.stack(
+                        [aggregate_level(embedder, level) for level in levels]
+                    )
                 parts.append(ids)
                 n_tokens += ids.size
             lengths[index] = n_tokens
@@ -86,10 +65,6 @@ def level_vectors(
             return np.zeros((len(levels), embedder.dim))
         occ_toks = np.concatenate(parts)
         rows, occ_idx = _id_rows(embedder, np.unique(occ_toks), occ_toks)
-        summed = _indexed_segment_sum(
+        return _indexed_segment_sum(
             rows, occ_idx, lengths, len(levels)
         ).astype(np.float64)
-        if config.mode == "mean":
-            occupied = lengths > 0
-            summed[occupied] /= lengths[occupied, None]
-        return summed

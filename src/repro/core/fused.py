@@ -23,14 +23,10 @@ space:
    chains);
 4. **walk** — :meth:`~repro.core.classifier.MetadataClassifier._classify`
    runs one batched angle pass
-   (:func:`repro.core.angles.segmented_walk_angles`) over the blocks
-   :func:`level_blocks` returns, then the shared decision walk per
-   table.
+   (:func:`repro.core.angles.segmented_walk_angles`) over the
+   (projected) level blocks, then the shared decision walk per table.
 
-``concat`` aggregation, which the packed plane cannot express, builds
-its level blocks with :mod:`repro.core.aggregate` in
-:func:`level_blocks` and joins the same walk.  Labels match the
-level-by-level reference
+Labels match the level-by-level reference
 (:func:`repro.core.classifier.reference_classify`) because decisions
 sit far from range boundaries in float32; the equivalence suite pins
 this on every embedding backend.
@@ -51,18 +47,14 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
 from repro.embeddings.lookup import TermEmbedder
 from repro.tables.model import Table
 from repro.text import tokenize
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.classifier import MetadataClassifier
 
 
 #: Hard cap on the process-global token vocabulary.  Token vocabularies
@@ -120,46 +112,30 @@ class _TokenVocab:
 _VOCAB = _TokenVocab()
 
 
-def supports_fast_path(config: AggregationConfig) -> bool:
-    """True when the packed plane can reproduce ``config`` exactly.
-
-    ``concat`` aggregation needs the first-k term vectors in order, so
-    it builds its level blocks with :mod:`repro.core.aggregate` instead.
-    """
-    return config.mode != "concat"
-
-
 @lru_cache(maxsize=131_072)
-def _cell_token_ids(cell: str, lowercase: bool) -> np.ndarray | None:
+def _cell_token_ids(cell: str) -> np.ndarray | None:
     """Memoized cell -> read-only array of global token ids.
 
     The process's one per-cell memo: cell contents repeat heavily both
     within a table (blanks, repeated categories) and across a served
     corpus (shared headers), and regex tokenization is the most
-    expensive per-cell step.  The key is the (cell text, tokenizer
-    fingerprint) pair — tokenization is a pure function of the cell
-    *and* the tokenizer configuration, so two pipelines with different
-    ``lowercase`` settings in one process must not share entries.
-    ``lowercase`` is currently the tokenizer's whole configuration
-    surface; a new tokenizer knob must join this key.  The ids
-    themselves are tokenizer-agnostic (same text, same id).  Returns
-    ``None`` when the global vocabulary is full; callers fall back to
-    :func:`cell_token_texts`.
+    expensive per-cell step.  Tokenization is a pure function of the
+    cell text (the plane has one tokenizer setting: lowercased words),
+    so the text alone is the key.  Returns ``None`` when the global
+    vocabulary is full; callers fall back to :func:`cell_token_texts`.
     """
-    return _VOCAB.intern(
-        [token.text for token in tokenize(cell, lowercase=lowercase)]
-    )
+    return _VOCAB.intern([token.text for token in tokenize(cell)])
 
 
-def cell_token_texts(cell: str, lowercase: bool) -> list[str]:
+def cell_token_texts(cell: str) -> list[str]:
     """The token texts of one cell, read through :func:`_cell_token_ids`.
 
     Tokenizes directly (uncached) only when the global vocabulary is
     full.
     """
-    ids = _cell_token_ids(cell, lowercase)
+    ids = _cell_token_ids(cell)
     if ids is None:
-        return [token.text for token in tokenize(cell, lowercase=lowercase)]
+        return [token.text for token in tokenize(cell)]
     texts = _VOCAB.texts
     return [texts[i] for i in ids]
 
@@ -259,13 +235,13 @@ class _TableFragment:
     grid: np.ndarray
 
 
-_FRAGMENTS: "weakref.WeakKeyDictionary[Table, dict[bool, _TableFragment]]" = (
+_FRAGMENTS: "weakref.WeakKeyDictionary[Table, _TableFragment]" = (
     weakref.WeakKeyDictionary()
 )
 _FRAGMENTS_LOCK = threading.Lock()
 
 
-def _build_fragment(table: Table, lowercase: bool) -> _TableFragment | None:
+def _build_fragment(table: Table) -> _TableFragment | None:
     """Tokenize one table into a fragment; None on vocabulary overflow."""
     ids: dict[str, int] = {}
     parts: list[np.ndarray] = []
@@ -276,7 +252,7 @@ def _build_fragment(table: Table, lowercase: bool) -> _TableFragment | None:
             if idx is None:
                 idx = len(ids)
                 ids[cell] = idx
-                part = _cell_token_ids(cell, lowercase)
+                part = _cell_token_ids(cell)
                 if part is None:
                     return None
                 parts.append(part)
@@ -293,17 +269,15 @@ def _build_fragment(table: Table, lowercase: bool) -> _TableFragment | None:
     return _TableFragment(table.shape, len(ids), occ, counts, grid_arr)
 
 
-def _table_fragment(table: Table, lowercase: bool) -> _TableFragment | None:
-    entry = _FRAGMENTS.get(table)
-    if entry is not None:
-        frag = entry.get(lowercase)
-        if frag is not None:
-            return frag
-    frag = _build_fragment(table, lowercase)
+def _table_fragment(table: Table) -> _TableFragment | None:
+    frag = _FRAGMENTS.get(table)
+    if frag is not None:
+        return frag
+    frag = _build_fragment(table)
     if frag is None:
         return None
     with _FRAGMENTS_LOCK:
-        _FRAGMENTS.setdefault(table, {})[lowercase] = frag
+        _FRAGMENTS[table] = frag
     return frag
 
 
@@ -385,10 +359,7 @@ class CorpusPack:
         return np.repeat(n_cols, n_rows), np.repeat(n_rows, n_cols)
 
 
-def pack_corpus(
-    tables: Sequence[Table],
-    config: AggregationConfig = AggregationConfig(),
-) -> CorpusPack:
+def pack_corpus(tables: Sequence[Table]) -> CorpusPack:
     """Intern and pack a shard of tables (stages 1 and 2).
 
     Degenerate tables (zero rows, zero columns, all-blank grids) pack as
@@ -400,13 +371,12 @@ def pack_corpus(
         # table, so a warm shard does no per-cell Python work at all:
         # the merge below is pure array concatenation plus offset
         # arithmetic.  A cold table tokenizes once, ever.
-        lowercase = config.lowercase
         empty = np.empty(0, dtype=np.intp)
         token_space = "global"
         local_tokens: tuple[str, ...] = ()
         fragments: list[_TableFragment] = []
         for table in tables:
-            frag = _table_fragment(table, lowercase)
+            frag = _table_fragment(table)
             if frag is None:
                 token_space = "local"
                 break
@@ -462,7 +432,7 @@ def pack_corpus(
             occ_cells_list: list[int] = []
             occ_toks_list: list[int] = []
             for cell_id, cell in enumerate(cell_ids):
-                texts = cell_token_texts(cell, lowercase)
+                texts = cell_token_texts(cell)
                 if texts:
                     occ_cells_list.extend([cell_id] * len(texts))
                     occ_toks_list.extend(
@@ -617,9 +587,7 @@ def _token_rows(
 
 
 def fused_level_matrices(
-    embedder: TermEmbedder,
-    pack: CorpusPack,
-    config: AggregationConfig = AggregationConfig(),
+    embedder: TermEmbedder, pack: CorpusPack
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row and column aggregate of the shard (stage 3), float32.
 
@@ -654,72 +622,4 @@ def fused_level_matrices(
     level_vecs = _indexed_segment_sum(
         cell_vecs, level_cells, level_widths, n_levels
     )
-    if config.mode == "mean":
-        per_cell = cell_counts.astype(np.float32)[:, None]
-        totals = _indexed_segment_sum(
-            per_cell, level_cells, level_widths, n_levels
-        )[:, 0]
-        _mean_in_place(level_vecs, totals)
     return level_vecs[: pack.total_rows], level_vecs[pack.total_rows :]
-
-
-def _mean_in_place(summed: np.ndarray, totals: np.ndarray) -> None:
-    occupied = totals > 0
-    summed[occupied] /= totals[occupied, None]
-
-
-def _stack_blocks(blocks: list[np.ndarray], dim: int) -> np.ndarray:
-    """Concatenate per-table level blocks, skipping empty ones (a
-    zero-level block is ``(0, dim)`` even where ``concat`` widens the
-    others)."""
-    filled = [block for block in blocks if block.shape[0]]
-    return np.concatenate(filled) if filled else np.zeros((0, dim))
-
-
-def _offsets(blocks: list[np.ndarray]) -> np.ndarray:
-    offsets = np.zeros(len(blocks) + 1, dtype=np.intp)
-    np.cumsum([block.shape[0] for block in blocks], out=offsets[1:])
-    return offsets
-
-
-def level_blocks(
-    classifier: "MetadataClassifier", tables: Sequence[Table]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every (projected) row and column vector of a shard of tables.
-
-    Returns ``(row_matrix, col_matrix, row_offsets, col_offsets)``; the
-    ``(n_tables + 1,)`` offset prefixes slice the matrices back into
-    per-table blocks.  Degenerate tables (zero rows, zero columns,
-    all-blank grids) yield empty or all-zero blocks, never an
-    exception.
-    """
-    embedder = classifier.embedder
-    config = classifier.config.aggregation
-    if supports_fast_path(config):
-        pack = pack_corpus(tables, config)
-        with obs.span("fused.aggregate", tokens=pack.n_tokens):
-            row_matrix, col_matrix = fused_level_matrices(
-                embedder, pack, config
-            )
-            row_matrix, col_matrix = _project(classifier, row_matrix, col_matrix)
-        return row_matrix, col_matrix, pack.row_offsets, pack.col_offsets
-    with obs.span("aggregate", n_tables=len(tables)):
-        row_blocks = [aggregate_rows(embedder, t, config) for t in tables]
-        col_blocks = [aggregate_cols(embedder, t, config) for t in tables]
-        row_matrix, col_matrix = _project(
-            classifier,
-            _stack_blocks(row_blocks, embedder.dim),
-            _stack_blocks(col_blocks, embedder.dim),
-        )
-    return row_matrix, col_matrix, _offsets(row_blocks), _offsets(col_blocks)
-
-
-def _project(
-    classifier: "MetadataClassifier", rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if classifier.projection is None:
-        return rows, cols
-    return (
-        classifier.projection.transform(rows),
-        classifier.projection.transform(cols),
-    )

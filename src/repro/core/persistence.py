@@ -31,7 +31,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.aggregate import AggregationConfig
 from repro.core.angles import AngleRange
 from repro.core.centroids import CentroidSet, LevelAngleStats
 from repro.core.classifier import ClassifierConfig, MetadataClassifier
@@ -230,6 +229,13 @@ def _pipeline_payload(pipeline: MetadataPipeline) -> tuple[dict, dict]:
         raise PersistenceError(
             f"pipeline is missing {', '.join(missing)}; cannot save it"
         )
+    if type(pipeline.classifier) is not MetadataClassifier:
+        # A store records no level-vector recipe: it always loads onto
+        # the sum plane, which would silently relabel a variant's levels.
+        raise PersistenceError(
+            f"cannot save a {type(pipeline.classifier).__name__}; only the "
+            "sum plane's MetadataClassifier can be stored"
+        )
 
     arrays: dict = {
         "row_meta_ref": pipeline.row_centroids.meta_ref,
@@ -242,7 +248,6 @@ def _pipeline_payload(pipeline: MetadataPipeline) -> tuple[dict, dict]:
         "format_version": FORMAT_VERSION,
         "row_centroids": _centroids_to_obj(pipeline.row_centroids),
         "col_centroids": _centroids_to_obj(pipeline.col_centroids),
-        "aggregation": classifier_config.aggregation.__dict__,
         "classifier": {
             "max_hmd_depth": classifier_config.max_hmd_depth,
             "max_vmd_depth": classifier_config.max_vmd_depth,
@@ -273,10 +278,19 @@ _RETIRED_CLASSIFIER_KEYS = frozenset(
     {"vectorized", "fused", "fused_dtype", "fused_quantize"}
 )
 
-#: Aggregation options that were removed, with the one value this
-#: version still reproduces.  A store saved with that value loads with
-#: the key dropped; any other value raises.
-_RETIRED_AGGREGATION_DEFAULTS = {"contextual": False}
+#: Options of the ``aggregation`` section older stores carry, with the
+#: values this version still reproduces (``None``: any value).  Every
+#: level vector is now the sum of its lowercased terms' vectors, so new
+#: stores write no such section.  A stored value listed here loads with
+#: the key dropped; any other value raises.  ``mode: "mean"`` loads as
+#: sum: a positive per-level scale leaves every angle, and so every
+#: label, unchanged.
+_RETIRED_AGGREGATION_VALUES: dict[str, tuple | None] = {
+    "mode": ("sum", "mean"),
+    "concat_terms": None,  # read only by the "concat" mode
+    "lowercase": (True,),
+    "contextual": (False,),
+}
 
 
 def _config_fields(
@@ -291,11 +305,25 @@ def _config_fields(
     Retired keys are dropped; any other key the config class does not
     take means the store was written by an incompatible version.
     """
-    accepted = {f.name for f in dataclasses.fields(cls)} - {"aggregation"}
+    accepted = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(saved) - accepted - retired)
     if unknown:
         raise PersistenceError(f"unknown {section} config keys {unknown}")
     return {key: value for key, value in saved.items() if key in accepted}
+
+
+def _check_retired_aggregation(saved: Mapping) -> None:
+    """Accept an old store's ``aggregation`` section only when the sum
+    plane reproduces it (see :data:`_RETIRED_AGGREGATION_VALUES`)."""
+    for key, value in saved.items():
+        if key not in _RETIRED_AGGREGATION_VALUES:
+            raise PersistenceError(f"unknown aggregation config key {key!r}")
+        loadable = _RETIRED_AGGREGATION_VALUES[key]
+        if loadable is not None and value not in loadable:
+            raise PersistenceError(
+                f"store sets the retired aggregation option {key!r} to "
+                f"{value!r}; only {list(loadable)!r} can be loaded"
+            )
 
 
 def _assemble_pipeline(state: dict, data: Mapping) -> MetadataPipeline:
@@ -333,23 +361,8 @@ def _assemble_pipeline(state: dict, data: Mapping) -> MetadataPipeline:
         state["col_centroids"], data["col_meta_ref"], data["col_data_ref"]
     )
 
-    saved_aggregation = state["aggregation"]
-    for key, default in _RETIRED_AGGREGATION_DEFAULTS.items():
-        if saved_aggregation.get(key, default) != default:
-            raise PersistenceError(
-                f"store sets the retired aggregation option {key!r} to "
-                f"{saved_aggregation[key]!r}; only {default!r} can be loaded"
-            )
-    aggregation = AggregationConfig(
-        **_config_fields(
-            AggregationConfig,
-            saved_aggregation,
-            "aggregation",
-            retired=frozenset(_RETIRED_AGGREGATION_DEFAULTS),
-        )
-    )
+    _check_retired_aggregation(state.get("aggregation", {}))
     classifier_config = ClassifierConfig(
-        aggregation=aggregation,
         **_config_fields(
             ClassifierConfig,
             state["classifier"],

@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.aggregate import AggregationConfig
 from repro.core.bootstrap import (
     BootstrapLabels,
     bootstrap_corpus,
@@ -44,6 +43,7 @@ from repro.embeddings.lookup import TermEmbedder, corpus_mean_vector
 from repro.embeddings.ppmi import PpmiConfig, PpmiSvdEmbedding
 from repro.embeddings.sentences import sentences_from_tables
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
+from repro.invariants import not_none
 from repro.tables.labels import TableAnnotation
 from repro.tables.model import AnnotatedTable, Table
 from repro.text import numeric_fraction
@@ -76,7 +76,6 @@ class PipelineConfig:
     ppmi: PpmiConfig = field(default_factory=PpmiConfig)
     hashed_dim: int = 64
     hashed_fields: Mapping[str, str] | None = None
-    aggregation: AggregationConfig = field(default_factory=AggregationConfig)
     bootstrap: str = "html"
     use_contrastive: bool = True
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
@@ -115,7 +114,13 @@ class FitReport:
 
 
 class MetadataPipeline:
-    """Public API: ``fit(corpus)`` then ``classify(table)``."""
+    """Public API: ``fit(corpus)`` then ``classify(table)``.
+
+    Every level vector ``fit`` aggregates comes from
+    :meth:`fit_level_vectors`, and the classifier from
+    :meth:`_new_classifier`; the aggregation ablations
+    (:mod:`repro.experiments.aggregation`) subclass these two.
+    """
 
     def __init__(self, config: PipelineConfig | None = None) -> None:
         self.config = config or PipelineConfig()
@@ -197,19 +202,17 @@ class MetadataPipeline:
             transform = self.projection.transform if self.projection else None
             with obs.span("fit.centroids"):
                 self.row_centroids = estimate_centroids(
-                    self.embedder,
+                    self.fit_level_vectors,
                     labeled,
                     axis="rows",
-                    aggregation=self.config.aggregation,
                     trim=self.config.centroid_trim,
                     transform=transform,
                     seed=self.config.seed,
                 )
                 self.col_centroids = estimate_centroids(
-                    self.embedder,
+                    self.fit_level_vectors,
                     labeled,
                     axis="cols",
-                    aggregation=self.config.aggregation,
                     trim=self.config.centroid_trim,
                     transform=transform,
                     seed=self.config.seed,
@@ -217,15 +220,8 @@ class MetadataPipeline:
             report.centroid_seconds = time.perf_counter() - start
             self._emit_stage("fit.centroids", report.centroid_seconds)
 
-        classifier_config = self.config.classifier or ClassifierConfig(
-            aggregation=self.config.aggregation
-        )
-        self.classifier = MetadataClassifier(
-            self.embedder,
-            self.row_centroids,
-            self.col_centroids,
-            projection=self.projection,
-            config=classifier_config,
+        self.classifier = self._new_classifier(
+            self.config.classifier or ClassifierConfig()
         )
         self.fit_report = report
         logger.info(
@@ -236,6 +232,24 @@ class MetadataPipeline:
             report.centroid_seconds,
         )
         return self
+
+    def fit_level_vectors(
+        self, levels: Sequence[Sequence[object]]
+    ) -> np.ndarray:
+        """The fit side's level vectors (Def. 8) -> ``(len(levels), dim)``.
+
+        The sum of each level's term vectors, in the embedding space
+        before any projection; the contrastive pairs and both centroid
+        estimates read every level through here.
+        """
+        return level_vectors(not_none(self.embedder, "fitted embedder"), levels)
+
+    def _new_classifier(self, config: ClassifierConfig) -> MetadataClassifier:
+        """The fitted parts as a classifier (the sum plane)."""
+        return MetadataClassifier(
+            self.embedder, self.row_centroids, self.col_centroids,
+            projection=self.projection, config=config,
+        )
 
     def _fit_embeddings(self, tables: Sequence[Table]) -> TermEmbedder:
         backend = self.config.embedding
@@ -270,11 +284,6 @@ class MetadataPipeline:
     def _fit_projection(
         self, labeled: Sequence[BootstrapLabels]
     ) -> ContrastiveProjection | None:
-        if self.embedder is None:
-            raise RuntimeError(
-                "embeddings must be fitted before the contrastive "
-                "projection; call fit() instead of _fit_projection()"
-            )
         # Collect every bootstrap level first, then aggregate the whole
         # corpus batch through one vectorized embedding-plane call.
         meta_levels: list[Sequence[str]] = []
@@ -286,12 +295,8 @@ class MetadataPipeline:
                 meta_levels.append(item.table.col(j))
             for i in item.data_row_indices[:10]:
                 data_levels.append(item.table.row(i))
-        meta_matrix = level_vectors(
-            self.embedder, meta_levels, self.config.aggregation
-        )
-        data_matrix = level_vectors(
-            self.embedder, data_levels, self.config.aggregation
-        )
+        meta_matrix = self.fit_level_vectors(meta_levels)
+        data_matrix = self.fit_level_vectors(data_levels)
         meta_vectors = [v for v in meta_matrix if np.linalg.norm(v) > _EPS]
         data_vectors = [v for v in data_matrix if np.linalg.norm(v) > _EPS]
         if len(meta_vectors) < 2 or len(data_vectors) < 2:

@@ -81,23 +81,20 @@ def refine_self_training(
     transform = (
         pipeline.projection.transform if pipeline.projection is not None else None
     )
-    aggregation = classifier.config.aggregation
 
     for _ in range(iterations):
         labeled = [predicted_bootstrap(classifier, table) for table in tables]
         refined.row_centroids = estimate_centroids(
-            embedder,
+            pipeline.fit_level_vectors,
             labeled,
             axis="rows",
-            aggregation=aggregation,
             transform=transform,
             seed=pipeline.config.seed,
         )
         refined.col_centroids = estimate_centroids(
-            embedder,
+            pipeline.fit_level_vectors,
             labeled,
             axis="cols",
-            aggregation=aggregation,
             transform=transform,
             seed=pipeline.config.seed,
         )

@@ -7,9 +7,9 @@ backend (Word2Vec / contextual / hashed) is swappable per the paper's
 
 OOV handling matters in table corpora: data cells are full of values the
 training vocabulary never saw (ids, rare entities, fresh numbers).  The
-default back-off embeds an OOV token as the mean of hashed character
-n-gram vectors — the fastText trick — so unseen-but-similar strings map
-to nearby vectors instead of a shared zero.  One lookup call computes
+back-off embeds an OOV token as the mean of hashed character 3-gram
+vectors — the fastText trick — so unseen-but-similar strings map to
+nearby vectors instead of a shared zero.  One lookup call computes
 the back-off for all of its OOV tokens in one pass: each distinct
 n-gram's seeded vector is built once per call, and every token takes
 its mean from the gathered rows.  Nothing carries over to the next
@@ -32,6 +32,9 @@ from repro import obs
 from repro.embeddings.hashed import _seeded_vector
 from repro.text import Token
 
+#: Character n-gram length of the OOV back-off (fastText's trigrams).
+_NGRAM = 3
+
 
 @runtime_checkable
 class EmbeddingModel(Protocol):
@@ -50,28 +53,13 @@ class EmbeddingModel(Protocol):
 
 
 class TermEmbedder:
-    """Token embedding with OOV back-off and optional centering.
-
-    ``oov`` selects the back-off: ``"ngram"`` (default, fastText-style
-    char trigram hashing), ``"hash"`` (whole-token hash vector), or
-    ``"zero"`` (drop OOV terms from aggregates).
-    """
+    """Token embedding with the char 3-gram OOV back-off and optional
+    centering."""
 
     def __init__(
-        self,
-        model: EmbeddingModel,
-        *,
-        oov: str = "ngram",
-        ngram: int = 3,
-        centering: np.ndarray | None = None,
+        self, model: EmbeddingModel, *, centering: np.ndarray | None = None
     ) -> None:
-        if oov not in ("ngram", "hash", "zero"):
-            raise ValueError(f"unknown OOV strategy {oov!r}")
-        if ngram < 2:
-            raise ValueError("ngram must be at least 2")
         self.model = model
-        self._oov = oov
-        self._ngram = ngram
         if centering is not None:
             centering = np.asarray(centering, dtype=np.float64)
             if centering.shape != (model.dim,):
@@ -126,17 +114,15 @@ class TermEmbedder:
         return matrix
 
     def _backoff(self, tokens: Sequence[str]) -> np.ndarray:
-        """OOV vectors for one miss batch -> float64 ``(len(tokens), dim)``."""
+        """OOV vectors for one miss batch -> float64 ``(len(tokens), dim)``.
+
+        fastText-style: each token is the unit mean of the hashed char
+        n-grams of ``<token>``.  Tokens of one batch share most of their
+        n-grams, so each distinct n-gram's seeded vector is built once
+        and every token gathers its rows from that table.
+        """
         dim = self.dim
-        if self._oov == "zero":
-            return np.zeros((len(tokens), dim))
-        if self._oov == "hash":
-            return np.stack([_seeded_vector(f"oov::{t}", dim) for t in tokens])
-        # fastText-style: each token is the mean of the hashed char
-        # n-grams of <token>.  Tokens of one batch share most of their
-        # n-grams, so each distinct n-gram's seeded vector is built once
-        # and every token gathers its rows from that table.
-        n = self._ngram
+        n = _NGRAM
         gram_ids: dict[str, int] = {}
         token_grams: list[list[int]] = []
         for token in tokens:
@@ -158,9 +144,8 @@ class TermEmbedder:
     def vector(self, token: str) -> np.ndarray:
         """Embedding for one token; OOV resolves via the back-off.
 
-        Always returns a ``(dim,)`` array; the ``"zero"`` strategy
-        returns an all-zero vector that aggregation then ignores.  The
-        scalar reference path's front: it emits no ``lookup`` span.
+        Always returns a ``(dim,)`` array.  The scalar reference path's
+        front: it emits no ``lookup`` span.
         """
         return self._resolve_batch([token])[0]
 

@@ -21,11 +21,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.aggregate import AggregationConfig, aggregate_level
+from repro.core.aggregate import aggregate_level
 from repro.core.angles import angle_between, euclidean_distance, jaccard_similarity
 from repro.core.bootstrap import bootstrap_corpus
 from repro.core.metrics import evaluate_corpus
 from repro.core.pipeline import HybridClassifier, MetadataPipeline
+from repro.experiments.aggregation import ConcatLevelPipeline, MeanLevelPipeline
 from repro.experiments.centroid_tables import ExperimentResult
 from repro.experiments.reporting import percent
 from repro.invariants import not_none
@@ -39,8 +40,10 @@ from repro.experiments.runner import (
 from repro.text import tokenize_cells
 
 
-def _fit_and_score(config, train, evaluation) -> dict[str, float | None]:
-    pipeline = MetadataPipeline(config).fit(train)
+def _fit_and_score(
+    pipeline: MetadataPipeline, train, evaluation
+) -> dict[str, float | None]:
+    pipeline.fit(train)
     result = evaluate_corpus(evaluation, pipeline.classify)
     return {
         "hmd1": percent(result.hmd_accuracy.get(1)),
@@ -63,7 +66,9 @@ def run_ablation_contrastive(
     base = pipeline_config_for(dataset, scale)
     rows = []
     for label, on in (("with contrastive", True), ("without contrastive", False)):
-        scores = _fit_and_score(replace(base, use_contrastive=on), train, evaluation)
+        scores = _fit_and_score(
+            MetadataPipeline(replace(base, use_contrastive=on)), train, evaluation
+        )
         rows.append((label, scores["hmd1"], scores["hmd_deep"], scores["vmd1"]))
     return ExperimentResult(
         table_id="ablation-contrastive",
@@ -82,7 +87,9 @@ def run_ablation_bootstrap(
     base = pipeline_config_for(dataset, scale)
     rows = []
     for label, mode in (("html markup", "html"), ("first level only", "first_level")):
-        scores = _fit_and_score(replace(base, bootstrap=mode), train, evaluation)
+        scores = _fit_and_score(
+            MetadataPipeline(replace(base, bootstrap=mode)), train, evaluation
+        )
         rows.append((label, scores["hmd1"], scores["hmd_deep"], scores["vmd1"]))
     return ExperimentResult(
         table_id="ablation-bootstrap",
@@ -102,7 +109,9 @@ def run_ablation_embedding(
     rows = []
     for backend in ("word2vec", "ppmi", "contextual", "hashed"):
         start = time.perf_counter()
-        scores = _fit_and_score(replace(base, embedding=backend), train, evaluation)
+        scores = _fit_and_score(
+            MetadataPipeline(replace(base, embedding=backend)), train, evaluation
+        )
         elapsed = time.perf_counter() - start
         rows.append(
             (backend, scores["hmd1"], scores["vmd1"], round(elapsed, 2))
@@ -122,13 +131,15 @@ def run_ablation_aggregation(
     train = train_corpus_for(dataset, scale)
     evaluation = eval_corpus_for(dataset, scale)
     base = pipeline_config_for(dataset, scale)
+    variants = (
+        ("sum", MetadataPipeline(base)),
+        ("mean", MeanLevelPipeline(base)),
+        ("concat", ConcatLevelPipeline(base, terms=6)),
+    )
     rows = []
-    for mode in ("sum", "mean", "concat"):
-        aggregation = AggregationConfig(mode=mode, concat_terms=6)
+    for mode, pipeline in variants:
         start = time.perf_counter()
-        scores = _fit_and_score(
-            replace(base, aggregation=aggregation), train, evaluation
-        )
+        scores = _fit_and_score(pipeline, train, evaluation)
         elapsed = time.perf_counter() - start
         rows.append((mode, scores["hmd1"], scores["vmd1"], round(elapsed, 2)))
     return ExperimentResult(
@@ -267,7 +278,7 @@ def run_ablation_markup_noise(
         train = GSTGenerator(generator_config, seed=scale.seed).generate(
             scale.n_train, name_prefix=f"{dataset}-noise"
         )
-        scores = _fit_and_score(base_config, train, evaluation)
+        scores = _fit_and_score(MetadataPipeline(base_config), train, evaluation)
         rows.append(
             (label, scores["hmd1"], scores["hmd_deep"], scores["vmd1"])
         )

@@ -12,7 +12,8 @@ next to the perf numbers.
 Two knockout kinds keep runs cheap:
 
 * ``fit`` knockouts change how the pipeline *trains* (contrastive
-  refinement, bootstrap source, aggregation) and need a refit;
+  refinement, bootstrap source, aggregation): they turn the baseline
+  configuration into an unfitted pipeline, which the run fits;
 * ``classify`` knockouts change only the *decision walk* (depth caps,
   CMD detection) and re-score the already-fitted baseline with a
   reconfigured classifier.
@@ -44,7 +45,7 @@ class ComponentSpec:
     name: str
     kind: str  # "fit" (refit the pipeline) | "classify" (re-score only)
     description: str
-    knock_fit: Callable[[PipelineConfig], PipelineConfig] | None = None
+    knock_fit: Callable[[PipelineConfig], MetadataPipeline] | None = None
     knock_classify: Callable[[ClassifierConfig], ClassifierConfig] | None = None
 
 
@@ -76,23 +77,23 @@ def get_components(names: tuple[str, ...] | None = None) -> list[ComponentSpec]:
     return [_REGISTRY[name] for name in names]
 
 
-def _knock_aggregation(config: PipelineConfig) -> PipelineConfig:
-    from repro.core.aggregate import AggregationConfig
+def _knock_aggregation(config: PipelineConfig) -> MetadataPipeline:
+    from repro.experiments.aggregation import MeanLevelPipeline
 
-    return replace(config, aggregation=AggregationConfig(mode="mean"))
+    return MeanLevelPipeline(config)
 
 
 _register(ComponentSpec(
     name="contrastive",
     kind="fit",
     description="Siamese contrastive projection off (raw embedding space)",
-    knock_fit=lambda c: replace(c, use_contrastive=False),
+    knock_fit=lambda c: MetadataPipeline(replace(c, use_contrastive=False)),
 ))
 _register(ComponentSpec(
     name="bootstrap-markup",
     kind="fit",
     description="HTML-markup bootstrap replaced by first-row/column fallback",
-    knock_fit=lambda c: replace(c, bootstrap="first_level"),
+    knock_fit=lambda c: MetadataPipeline(replace(c, bootstrap="first_level")),
 ))
 _register(ComponentSpec(
     name="aggregation-sum",
@@ -365,7 +366,7 @@ def _run_knockout(
         if spec.kind == "fit":
             if spec.knock_fit is None:
                 raise ValueError(f"{spec.name}: fit knockout without knock_fit")
-            knocked = MetadataPipeline(spec.knock_fit(base)).fit(train)
+            knocked = spec.knock_fit(base).fit(train)
             hmd1, vmd1, row_binary = _score(knocked.classify, evaluation)
         else:
             if spec.knock_classify is None:

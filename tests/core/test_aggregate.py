@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.aggregate import (
-    AggregationConfig,
     aggregate_cols,
     aggregate_level,
     aggregate_rows,
@@ -19,16 +18,6 @@ from repro.tables.model import Table
 @pytest.fixture
 def embedder() -> TermEmbedder:
     return TermEmbedder(HashedEmbedding(8))
-
-
-class TestConfig:
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            AggregationConfig(mode="median")
-
-    def test_invalid_concat_terms(self):
-        with pytest.raises(ValueError):
-            AggregationConfig(mode="concat", concat_terms=0)
 
 
 class TestSum:
@@ -46,51 +35,6 @@ class TestSum:
         a = aggregate_level(embedder, ["x", "y"])
         b = aggregate_level(embedder, ["y", "x"])
         np.testing.assert_allclose(a, b)
-
-
-class TestMean:
-    def test_mean_scales_sum(self, embedder):
-        config = AggregationConfig(mode="mean")
-        summed = aggregate_level(embedder, ["alpha beta"])
-        mean = aggregate_level(embedder, ["alpha beta"], config)
-        np.testing.assert_allclose(mean, summed / 2)
-
-    def test_same_direction_as_sum(self, embedder):
-        """Mean and sum differ in magnitude only -> identical angles."""
-        config = AggregationConfig(mode="mean")
-        summed = aggregate_level(embedder, ["a b c"])
-        mean = aggregate_level(embedder, ["a b c"], config)
-        cos = summed @ mean / (np.linalg.norm(summed) * np.linalg.norm(mean))
-        assert cos == pytest.approx(1.0)
-
-
-class TestConcat:
-    def test_dimension(self, embedder):
-        config = AggregationConfig(mode="concat", concat_terms=3)
-        out = aggregate_level(embedder, ["a b"], config)
-        assert out.shape == (24,)
-
-    def test_zero_padding(self, embedder):
-        config = AggregationConfig(mode="concat", concat_terms=3)
-        out = aggregate_level(embedder, ["a"], config)
-        assert np.all(out[8:] == 0)
-        np.testing.assert_allclose(out[:8], embedder.vector("a"))
-
-    def test_truncation(self, embedder):
-        config = AggregationConfig(mode="concat", concat_terms=2)
-        out = aggregate_level(embedder, ["a b c d"], config)
-        assert out.shape == (16,)
-
-    def test_empty_level(self, embedder):
-        config = AggregationConfig(mode="concat", concat_terms=2)
-        assert aggregate_level(embedder, [""], config).shape == (16,)
-
-    def test_order_sensitivity(self, embedder):
-        """Unlike summation, concatenation depends on term order."""
-        config = AggregationConfig(mode="concat", concat_terms=2)
-        a = aggregate_level(embedder, ["x y"], config)
-        b = aggregate_level(embedder, ["y x"], config)
-        assert not np.allclose(a, b)
 
 
 class TestTableAggregation:

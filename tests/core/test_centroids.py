@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.bootstrap import bootstrap_first_level, bootstrap_corpus
-from repro.core.centroids import CentroidSet, estimate_centroids
+from repro.core.centroids import CentroidSet, LevelVectors, estimate_centroids
+from repro.core.embedding_plane import level_vectors
 from repro.embeddings.hashed import HashedEmbedding
 from repro.embeddings.lookup import TermEmbedder
 from repro.tables.html import render_html_table
@@ -22,8 +25,9 @@ FIELDS = {
 
 
 @pytest.fixture
-def embedder() -> TermEmbedder:
-    return TermEmbedder(HashedEmbedding(16, fields=FIELDS, field_weight=0.8))
+def vectors_of() -> LevelVectors:
+    embedder = TermEmbedder(HashedEmbedding(16, fields=FIELDS, field_weight=0.8))
+    return partial(level_vectors, embedder)
 
 
 def _make_corpus(n: int = 8) -> list[AnnotatedTable]:
@@ -46,24 +50,24 @@ def _make_corpus(n: int = 8) -> list[AnnotatedTable]:
 
 
 class TestEstimation:
-    def test_basic_structure(self, embedder):
+    def test_basic_structure(self, vectors_of):
         labeled = bootstrap_corpus(_make_corpus())
-        centroids = estimate_centroids(embedder, labeled, axis="rows")
+        centroids = estimate_centroids(vectors_of, labeled, axis="rows")
         assert isinstance(centroids, CentroidSet)
         assert centroids.n_tables == 8
         assert centroids.meta_ref.shape == (16,)
         assert np.isclose(np.linalg.norm(centroids.meta_ref), 1.0)
         assert np.isclose(np.linalg.norm(centroids.data_ref), 1.0)
 
-    def test_metadata_data_separation(self, embedder):
+    def test_metadata_data_separation(self, vectors_of):
         """The core geometric claim: C_MDE sits below C_MDE-DE."""
         labeled = bootstrap_corpus(_make_corpus())
-        centroids = estimate_centroids(embedder, labeled, axis="rows")
+        centroids = estimate_centroids(vectors_of, labeled, axis="rows")
         assert centroids.mde.midpoint < centroids.mde_de.midpoint
 
-    def test_level_stats_present(self, embedder):
+    def test_level_stats_present(self, vectors_of):
         labeled = bootstrap_corpus(_make_corpus())
-        centroids = estimate_centroids(embedder, labeled, axis="rows")
+        centroids = estimate_centroids(vectors_of, labeled, axis="rows")
         stats2 = centroids.stats_for_level(2)
         assert stats2 is not None
         assert stats2.delta_prev_meta is not None
@@ -72,57 +76,57 @@ class TestEstimation:
         stats1 = centroids.stats_for_level(1)
         assert stats1.delta_prev_meta is None  # no level 0
 
-    def test_stats_for_missing_level(self, embedder):
+    def test_stats_for_missing_level(self, vectors_of):
         labeled = bootstrap_corpus(_make_corpus())
-        centroids = estimate_centroids(embedder, labeled, axis="rows")
+        centroids = estimate_centroids(vectors_of, labeled, axis="rows")
         assert centroids.stats_for_level(5) is None
 
-    def test_invalid_axis(self, embedder):
+    def test_invalid_axis(self, vectors_of):
         with pytest.raises(ValueError):
-            estimate_centroids(embedder, [], axis="diagonal")
+            estimate_centroids(vectors_of, [], axis="diagonal")
 
-    def test_empty_corpus_falls_back(self, embedder):
-        centroids = estimate_centroids(embedder, [], axis="rows")
+    def test_empty_corpus_falls_back(self, vectors_of):
+        centroids = estimate_centroids(vectors_of, [], axis="rows")
         assert centroids.n_tables == 0
         assert centroids.mde.width > 0  # fallback ranges
 
-    def test_min_range_width_enforced(self, embedder):
+    def test_min_range_width_enforced(self, vectors_of):
         labeled = bootstrap_corpus(_make_corpus())
         centroids = estimate_centroids(
-            embedder, labeled, axis="rows", min_range_width=25.0
+            vectors_of, labeled, axis="rows", min_range_width=25.0
         )
         assert centroids.mde.width >= 20.0  # width after clipping at 0
 
-    def test_transform_applied(self, embedder):
+    def test_transform_applied(self, vectors_of):
         labeled = bootstrap_corpus(_make_corpus())
         flip = lambda v: -v  # noqa: E731 - direction flip keeps angles
-        plain = estimate_centroids(embedder, labeled, axis="rows")
-        flipped = estimate_centroids(embedder, labeled, axis="rows", transform=flip)
+        plain = estimate_centroids(vectors_of, labeled, axis="rows")
+        flipped = estimate_centroids(vectors_of, labeled, axis="rows", transform=flip)
         np.testing.assert_allclose(flipped.meta_ref, -plain.meta_ref)
         assert flipped.mde.midpoint == pytest.approx(plain.mde.midpoint)
 
-    def test_describe_renders(self, embedder):
+    def test_describe_renders(self, vectors_of):
         labeled = bootstrap_corpus(_make_corpus())
-        text = estimate_centroids(embedder, labeled, axis="rows").describe()
+        text = estimate_centroids(vectors_of, labeled, axis="rows").describe()
         assert "C_MDE" in text
         assert "level 2" in text
 
 
 class TestFirstLevelBootstrap:
-    def test_cross_table_mde(self, embedder):
+    def test_cross_table_mde(self, vectors_of):
         """With one metadata level per table, C_MDE must come from
         cross-table pairs rather than the fallback constant."""
         corpus = [item.table for item in _make_corpus(10)]
         labeled = [bootstrap_first_level(t) for t in corpus]
-        centroids = estimate_centroids(embedder, labeled, axis="rows")
+        centroids = estimate_centroids(vectors_of, labeled, axis="rows")
         # attr-field header rows across tables are tightly clustered, so
         # the cross-table range must sit well below the fallback hi=45.
         assert centroids.mde.lo < 30.0
 
-    def test_columns_axis(self, embedder):
+    def test_columns_axis(self, vectors_of):
         corpus = [item.table for item in _make_corpus(6)]
         labeled = [bootstrap_first_level(t) for t in corpus]
-        centroids = estimate_centroids(embedder, labeled, axis="cols")
+        centroids = estimate_centroids(vectors_of, labeled, axis="cols")
         assert centroids.n_tables == 6
 
 
@@ -132,30 +136,30 @@ class TestSeedDeterminism:
     ignored the configured seed.  The sampler now derives its stream
     from the ``seed`` parameter (salted per sampling site)."""
 
-    def _centroids(self, embedder, **kwargs):
+    def _centroids(self, vectors_of, **kwargs):
         corpus = [item.table for item in _make_corpus(10)]
         labeled = [bootstrap_first_level(t) for t in corpus]
-        return estimate_centroids(embedder, labeled, axis="rows", **kwargs)
+        return estimate_centroids(vectors_of, labeled, axis="rows", **kwargs)
 
-    def test_same_seed_is_bitwise_reproducible(self, embedder):
-        a = self._centroids(embedder, seed=7)
-        b = self._centroids(embedder, seed=7)
+    def test_same_seed_is_bitwise_reproducible(self, vectors_of):
+        a = self._centroids(vectors_of, seed=7)
+        b = self._centroids(vectors_of, seed=7)
         assert (a.mde.lo, a.mde.hi) == (b.mde.lo, b.mde.hi)
         assert (a.de.lo, a.de.hi) == (b.de.lo, b.de.hi)
         assert (a.mde_de.lo, a.mde_de.hi) == (b.mde_de.lo, b.mde_de.hi)
 
-    def test_seed_reaches_the_sampler(self, embedder):
-        a = self._centroids(embedder, seed=7)
-        c = self._centroids(embedder, seed=8)
+    def test_seed_reaches_the_sampler(self, vectors_of):
+        a = self._centroids(vectors_of, seed=7)
+        c = self._centroids(vectors_of, seed=8)
         assert (a.mde.lo, a.mde.hi) != (c.mde.lo, c.mde.hi)
 
-    def test_pinned_outputs(self, embedder):
+    def test_pinned_outputs(self, vectors_of):
         """Pin the sampled MDE range for two seeds.  A change here means
         the seed derivation changed — bump deliberately or fix the
         regression.  (The values are from float32 level sums on the
         row cache.)"""
-        default = self._centroids(embedder)  # seed=0
+        default = self._centroids(vectors_of)  # seed=0
         assert default.mde.lo == pytest.approx(0.0, abs=1e-9)
         assert default.mde.hi == pytest.approx(14.185170008500517, rel=1e-9)
-        seeded = self._centroids(embedder, seed=7)
+        seeded = self._centroids(vectors_of, seed=7)
         assert seeded.mde.hi == pytest.approx(17.68640580932747, rel=1e-9)

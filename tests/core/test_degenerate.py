@@ -1,5 +1,5 @@
 """Degenerate tables must never crash the pipeline (empty, single-row,
-single-column, all-numeric, all-OOV).
+single-column, all-numeric, all-zero term vectors).
 
 Each shape goes through ``MetadataPipeline.fit`` (mixed into a normal
 training corpus), ``classify``/``classify_result``, the
@@ -98,29 +98,34 @@ class TestLooksRelationalGuards:
         assert looks_relational(simple_table)
 
 
-class TestAllOov:
-    def test_all_oov_zero_backoff(self, degenerate_fitted):
-        """Every token OOV with the "zero" back-off: all level vectors
+class TestZeroVectors:
+    def test_all_zero_level_vectors(self, degenerate_fitted):
+        """A backend whose every term vector is zero: all level vectors
         collapse to zero, and the classifier must still label cleanly."""
+        import numpy as np
 
-        class _NoneModel:
+        dim = degenerate_fitted.embedder.dim
+
+        class _ZeroModel:
             @property
             def dim(self) -> int:
-                return degenerate_fitted.embedder.dim
+                return dim
 
             def vector(self, token: str):
-                return None
+                return np.zeros(dim)
 
         clf = degenerate_fitted.classifier
-        oov_embedder = TermEmbedder(_NoneModel(), oov="zero")
-        oov_clf = MetadataClassifier(
-            oov_embedder,
+        zero_clf = MetadataClassifier(
+            TermEmbedder(_ZeroModel()),
             clf.row_centroids,
             clf.col_centroids,
             projection=clf.projection,
             config=clf.config,
         )
-        table = Table([["alpha", "beta"], ["gamma", "delta"]], name="oov")
-        annotation = oov_clf.classify(table)
+        table = Table([["alpha", "beta"], ["gamma", "delta"]], name="zero")
+        rows, cols, _, _ = zero_clf._level_blocks([table])
+        assert not rows.any() and not cols.any()
+        annotation = zero_clf.classify(table)
         assert len(annotation.row_labels) == 2
         assert len(annotation.col_labels) == 2
+        assert annotation == reference_classify(zero_clf, table)

@@ -1,15 +1,13 @@
 """Tests for the level vectors the classify plane builds.
 
 The contract under test: the fused plane's one-table shards
-(:func:`repro.core.fused.level_blocks`) and the fit-side batches
-(:func:`repro.core.embedding_plane.level_vectors`) must reproduce the
-scalar :mod:`repro.core.aggregate` vectors (up to float32 rounding and
-re-association) for every mode they claim to support, fall back to the
-scalar aggregation for the modes they do not, never raise on
-degenerate shapes, and classify exactly like the level-by-level
-reference.  Both read token vectors from the one row cache, so a table
-whose levels were embedded during ``fit`` classifies without resolving
-a token.
+(:meth:`repro.core.classifier.MetadataClassifier._level_blocks`) and
+the fit-side batches (:func:`repro.core.embedding_plane.level_vectors`)
+must reproduce the scalar :mod:`repro.core.aggregate` sums (up to
+float32 rounding and re-association), never raise on degenerate
+shapes, and classify exactly like the level-by-level reference.  Both
+read token vectors from the one row cache, so a table whose levels
+were embedded during ``fit`` classifies without resolving a token.
 """
 
 from __future__ import annotations
@@ -22,20 +20,21 @@ import pytest
 from repro import obs
 from repro.core import fused
 from repro.core.aggregate import (
-    AggregationConfig,
     aggregate_cols,
     aggregate_level,
     aggregate_rows,
 )
 from repro.core.bootstrap import bootstrap_corpus
-from repro.core.classifier import ClassifierConfig, reference_classify
+from repro.core.classifier import (
+    ClassifierConfig,
+    MetadataClassifier,
+    reference_classify,
+)
 from repro.core.embedding_plane import level_vectors
-from repro.core.fused import supports_fast_path
 from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.embeddings.hashed import HashedEmbedding
 from repro.embeddings.lookup import TermEmbedder
 from repro.tables.model import Table
-from repro.text import tokenize
 
 from tests.core.conftest import BACKENDS
 
@@ -48,39 +47,34 @@ def embedder() -> TermEmbedder:
     return TermEmbedder(HashedEmbedding(16))
 
 
-def _one_table(embedder, table, config):
+def _one_table(embedder, table):
     """``(rows, cols)`` of a one-table shard, as ``classify`` builds them."""
     stand_in = SimpleNamespace(
-        embedder=embedder,
-        config=ClassifierConfig(aggregation=config),
-        projection=None,
+        embedder=embedder, config=ClassifierConfig(), projection=None
     )
-    rows, cols, _, _ = fused.level_blocks(stand_in, [table])
+    rows, cols, _, _ = MetadataClassifier._level_blocks(stand_in, [table])
     return rows, cols
 
 
 class TestEmbedTableEquivalence:
-    @pytest.mark.parametrize("mode", ["sum", "mean"])
-    def test_matches_scalar_path(self, embedder, hierarchical_table, mode):
-        config = AggregationConfig(mode=mode)
-        rows, cols = _one_table(embedder, hierarchical_table, config)
+    def test_matches_scalar_path(self, embedder, hierarchical_table):
+        rows, cols = _one_table(embedder, hierarchical_table)
         np.testing.assert_allclose(
-            rows, aggregate_rows(embedder, hierarchical_table, config), atol=ATOL
+            rows, aggregate_rows(embedder, hierarchical_table), atol=ATOL
         )
         np.testing.assert_allclose(
-            cols, aggregate_cols(embedder, hierarchical_table, config), atol=ATOL
+            cols, aggregate_cols(embedder, hierarchical_table), atol=ATOL
         )
 
     def test_matches_on_generated_corpus(self, embedder, ckg_eval):
-        config = AggregationConfig()
         for annotated in ckg_eval[:10]:
             table = annotated.table
-            rows, cols = _one_table(embedder, table, config)
+            rows, cols = _one_table(embedder, table)
             np.testing.assert_allclose(
-                rows, aggregate_rows(embedder, table, config), atol=ATOL
+                rows, aggregate_rows(embedder, table), atol=ATOL
             )
             np.testing.assert_allclose(
-                cols, aggregate_cols(embedder, table, config), atol=ATOL
+                cols, aggregate_cols(embedder, table), atol=ATOL
             )
 
     def test_token_accounting(self, simple_table):
@@ -94,55 +88,28 @@ class TestEmbedTableEquivalence:
         assert pack.n_cells == 1
         assert pack.n_tokens == 1
         assert pack.grid_cells.size == 6
-        rows, _ = _one_table(embedder, table, AggregationConfig())
-        np.testing.assert_allclose(
-            rows, aggregate_rows(embedder, table, AggregationConfig()), atol=ATOL
-        )
+        rows, _ = _one_table(embedder, table)
+        np.testing.assert_allclose(rows, aggregate_rows(embedder, table), atol=ATOL)
 
 
 class TestDegenerateShapes:
     def test_zero_column_table(self, embedder):
-        rows, cols = _one_table(embedder, Table([[], []]), AggregationConfig())
+        rows, cols = _one_table(embedder, Table([[], []]))
         assert rows.shape == (2, 16)
         assert cols.shape == (0, 16)
         assert np.all(rows == 0)
 
     def test_empty_table(self, embedder):
-        rows, cols = _one_table(embedder, Table([]), AggregationConfig())
+        rows, cols = _one_table(embedder, Table([]))
         assert rows.shape == (0, 16)
         assert cols.shape == (0, 16)
 
     def test_all_blank_grid(self, embedder):
         table = Table([["", ""], ["", ""]])
-        rows, cols = _one_table(embedder, table, AggregationConfig())
+        rows, cols = _one_table(embedder, table)
         assert np.all(rows == 0)
         assert np.all(cols == 0)
         assert fused.pack_corpus([table]).n_tokens == 0
-
-    def test_partially_blank_mean_mode(self, embedder):
-        # A blank row must stay zero in mean mode (no divide-by-zero).
-        table = Table([["alpha", "beta"], ["", ""]])
-        config = AggregationConfig(mode="mean")
-        rows, _ = _one_table(embedder, table, config)
-        np.testing.assert_allclose(
-            rows, aggregate_rows(embedder, table, config), atol=ATOL
-        )
-        assert np.all(rows[1] == 0)
-        assert np.all(np.isfinite(rows))
-
-
-class TestFallbacks:
-    def test_concat_mode_falls_back(self, embedder, simple_table):
-        config = AggregationConfig(mode="concat", concat_terms=4)
-        assert not supports_fast_path(config)
-        rows, cols = _one_table(embedder, simple_table, config)
-        np.testing.assert_allclose(
-            rows, aggregate_rows(embedder, simple_table, config)
-        )
-        np.testing.assert_allclose(
-            cols, aggregate_cols(embedder, simple_table, config)
-        )
-
 
 
 class TestLevelVectors:
@@ -153,31 +120,27 @@ class TestLevelVectors:
             [],
             ["", ""],
         ]
-        batched = level_vectors(embedder, levels, AggregationConfig())
-        scalar = np.stack(
-            [aggregate_level(embedder, c, AggregationConfig()) for c in levels]
-        )
+        batched = level_vectors(embedder, levels)
+        scalar = np.stack([aggregate_level(embedder, c) for c in levels])
         assert batched.dtype == np.float64
         np.testing.assert_allclose(batched, scalar, atol=ATOL)
 
     def test_empty_batch(self, embedder):
-        assert level_vectors(embedder, [], AggregationConfig()).shape == (0, 16)
+        assert level_vectors(embedder, []).shape == (0, 16)
 
     def test_non_string_cells(self, embedder):
-        batched = level_vectors(embedder, [[12, None, "x"]], AggregationConfig())
-        scalar = aggregate_level(embedder, [12, None, "x"], AggregationConfig())
+        batched = level_vectors(embedder, [[12, None, "x"]])
+        scalar = aggregate_level(embedder, [12, None, "x"])
         np.testing.assert_allclose(batched[0], scalar, atol=ATOL)
 
-    @pytest.mark.parametrize("mode", ["sum", "mean"])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_aggregate_level_on_every_backend(
-        self, backend_pipelines, ckg_eval, backend, mode
+        self, backend_pipelines, ckg_eval, backend
     ):
         """Fit-side batches read the float32 row cache; they stay within
         float32 rounding of the float64 per-level reference, including
         non-string, blank and empty levels."""
         embedder = backend_pipelines[backend].embedder
-        config = AggregationConfig(mode=mode)
         table = ckg_eval[0].table
         levels = [
             *table.rows,
@@ -187,10 +150,8 @@ class TestLevelVectors:
             [],
             ["zzqv-unseen", "Enrollment 2021"],
         ]
-        scalar = np.stack([aggregate_level(embedder, c, config) for c in levels])
-        np.testing.assert_allclose(
-            level_vectors(embedder, levels, config), scalar, atol=ATOL
-        )
+        scalar = np.stack([aggregate_level(embedder, c) for c in levels])
+        np.testing.assert_allclose(level_vectors(embedder, levels), scalar, atol=ATOL)
 
     def test_fit_embeds_training_tables_for_classify(self, ckg_train):
         """``fit`` fills the row cache ``classify`` reads: a training
@@ -242,44 +203,3 @@ class TestClassifierEquivalence:
         assert hashed_pipeline.classifier.classify(
             ckg_eval[0].table
         ) == result.annotation
-
-
-class TestTokenMemoKeying:
-    """Regression: the per-cell token-id memo (``_cell_token_ids``) is
-    keyed by the tokenizer fingerprint (``lowercase``), not the cell
-    text alone — two pipelines with different casing configs in one
-    process must not serve each other stale tokens."""
-
-    def test_two_lowercase_configs_in_one_process(self, embedder):
-        table = Table(
-            [["MIXED Case HEADER", "Another COLUMN"],
-             ["DataValue", "MORE data"]],
-            name="casing",
-        )
-        lowered = AggregationConfig(lowercase=True)
-        preserved = AggregationConfig(lowercase=False)
-        # Interleave the two configs so a mis-keyed memo would serve
-        # the first config's tokens to the second.
-        for config in (lowered, preserved, lowered, preserved):
-            for cell in table.rows[0]:
-                assert fused.cell_token_texts(cell, config.lowercase) == [
-                    t.text for t in tokenize(cell, lowercase=config.lowercase)
-                ]
-            rows, cols = _one_table(embedder, table, config)
-            np.testing.assert_allclose(
-                rows, aggregate_rows(embedder, table, config), atol=ATOL
-            )
-            np.testing.assert_allclose(
-                cols, aggregate_cols(embedder, table, config), atol=ATOL
-            )
-            np.testing.assert_allclose(
-                level_vectors(embedder, table.rows, config),
-                aggregate_rows(embedder, table, config),
-                atol=ATOL,
-            )
-        # Hashed vectors are case-sensitive, so the configs genuinely
-        # disagree — the equality above is not vacuous.
-        assert not np.allclose(
-            _one_table(embedder, table, lowered)[0],
-            _one_table(embedder, table, preserved)[0],
-        )

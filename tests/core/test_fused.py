@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import fused
-from repro.core.aggregate import AggregationConfig, aggregate_cols, aggregate_rows
+from repro.core.aggregate import aggregate_cols, aggregate_rows
 from repro.core.classifier import MetadataClassifier, reference_classify
 from repro.core.fused import (
     _indexed_segment_sum,
@@ -23,7 +23,6 @@ from repro.core.fused import (
     pack_corpus,
     token_matrix,
 )
-from repro.core.pipeline import MetadataPipeline, PipelineConfig
 from repro.embeddings.hashed import HashedEmbedding
 from repro.embeddings.lookup import TermEmbedder
 from repro.tables.model import Table
@@ -77,19 +76,6 @@ class TestEquivalence:
     def test_empty_corpus(self, backend_pipelines):
         base = backend_pipelines["hashed"].classifier
         assert base.classify_corpus([]) == []
-
-    def test_concat_mode_joins_the_walk(self, ckg_train, corpus):
-        # concat cannot be packed: its level blocks come from
-        # repro.core.aggregate, then the same batched walk runs.
-        config = PipelineConfig(
-            embedding="hashed", hashed_dim=16, n_pairs=50,
-            use_contrastive=False,
-            aggregation=AggregationConfig(mode="concat", concat_terms=4),
-        )
-        base = MetadataPipeline(config).fit(list(ckg_train[:16])).classifier
-        batched = base.classify_corpus(corpus)
-        for table, annotation in zip(corpus, batched):
-            assert annotation == reference_classify(base, table), table.name
 
 
 class TestTokenStorage:
@@ -195,12 +181,9 @@ class TestPack:
 
     def test_fragments_are_memoized(self):
         table = Table([["Alpha", "Beta"], ["1", "2"]], name="memo")
-        first = fused._table_fragment(table, True)
-        second = fused._table_fragment(table, True)
+        first = fused._table_fragment(table)
+        second = fused._table_fragment(table)
         assert first is second
-        # A different tokenizer fingerprint gets its own fragment.
-        other = fused._table_fragment(table, False)
-        assert other is not first
 
     def test_token_texts_match_compact_ids(self, corpus):
         pack = pack_corpus(corpus)
@@ -223,7 +206,7 @@ class TestPack:
             Table([["Overflow gamma"], ["3"]], name="of-b"),
         ]
         monkeypatch.setattr(
-            fused, "_cell_token_ids", lambda cell, lowercase: None
+            fused, "_cell_token_ids", lambda cell: None
         )
         pack = pack_corpus(tables)
         assert pack.token_space == "local"
@@ -246,23 +229,21 @@ class TestPack:
 class TestFusedAggregates:
     """Fused row/column matrices reproduce Def. 8 per-table aggregates."""
 
-    @pytest.mark.parametrize("mode", ["sum", "mean"])
-    def test_matches_scalar_aggregation(self, corpus, mode):
+    def test_matches_scalar_aggregation(self, corpus):
         embedder = TermEmbedder(HashedEmbedding(16))
-        config = AggregationConfig(mode=mode)
-        pack = pack_corpus(corpus, config)
-        rows, cols = fused_level_matrices(embedder, pack, config)
+        pack = pack_corpus(corpus)
+        rows, cols = fused_level_matrices(embedder, pack)
         for i, table in enumerate(corpus):
             r0, r1 = pack.row_offsets[i], pack.row_offsets[i + 1]
             c0, c1 = pack.col_offsets[i], pack.col_offsets[i + 1]
             np.testing.assert_allclose(
                 rows[r0:r1],
-                aggregate_rows(embedder, table, config),
+                aggregate_rows(embedder, table),
                 atol=1e-4,
             )
             np.testing.assert_allclose(
                 cols[c0:c1],
-                aggregate_cols(embedder, table, config),
+                aggregate_cols(embedder, table),
                 atol=1e-4,
             )
 

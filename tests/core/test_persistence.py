@@ -298,6 +298,14 @@ def _edit_npz_state(path, edit):
     )
 
 
+@pytest.fixture(scope="module")
+def mean_fitted(hashed_pipeline, ckg_train):
+    """The hashed pipeline's configuration fitted on mean level vectors."""
+    from repro.experiments.aggregation import MeanLevelPipeline
+
+    return MeanLevelPipeline(hashed_pipeline.config).fit(ckg_train)
+
+
 def _edit_dir_state(path, edit):
     import json
 
@@ -328,6 +336,7 @@ class TestConfigKeys:
             with np.load(path) as data:
                 state = json.loads(bytes(data["__state__"]).decode())
         assert not set(RETIRED_CLASSIFIER_KEYS) & set(state["classifier"])
+        assert "aggregation" not in state
 
     def test_store_with_retired_keys_loads(
         self, store_form, hashed_pipeline, ckg_eval
@@ -346,26 +355,49 @@ class TestConfigKeys:
 
     def test_unknown_aggregation_key_raises(self, store_form):
         path, edit = store_form
-        edit(path, lambda state: state["aggregation"].update(stemming=True))
+        edit(path, lambda state: state.update(aggregation={"stemming": True}))
         with pytest.raises(PersistenceError, match="stemming"):
             load_pipeline(path)
 
     def test_store_with_contextual_off_loads(
-        self, store_form, hashed_pipeline, ckg_eval
+        self, store_form, hashed_pipeline, mean_fitted, ckg_eval, tmp_path
     ):
-        """Stores written while ``AggregationConfig`` still had the
-        ``contextual`` option saved it as ``false``; the key is dropped."""
+        """Stores written while ``AggregationConfig`` existed carry an
+        ``aggregation`` section.  The values the sum plane reproduces
+        load with the keys dropped: the section a default store wrote
+        (``contextual`` false, ``mode`` "sum", any ``concat_terms``,
+        ``lowercase`` true), and ``mode`` "mean", whose store labels
+        after loading as its mean-fitted pipeline did before saving."""
+        from repro.core.persistence import save_pipeline_dir
+
+        saved = {
+            "mode": "sum", "concat_terms": 8, "lowercase": True,
+            "contextual": False,
+        }
         path, edit = store_form
-        edit(path, lambda state: state["aggregation"].update(contextual=False))
+        edit(path, lambda state: state.update(aggregation=saved))
         loaded = load_pipeline(path)
         assert loaded.classifier.config == hashed_pipeline.classifier.config
         _assert_same_predictions(hashed_pipeline, loaded, ckg_eval)
 
+        save = save_pipeline_dir if path.is_dir() else save_pipeline
+        mean_path = save(mean_fitted, tmp_path / "mean")
+        edit(
+            mean_path,
+            lambda state: state.update(aggregation={**saved, "mode": "mean"}),
+        )
+        _assert_same_predictions(mean_fitted, load_pipeline(mean_path), ckg_eval)
+
     def test_store_with_contextual_on_raises(self, store_form):
+        """A retired value only another plane reproduced raises, naming
+        the option."""
         path, edit = store_form
-        edit(path, lambda state: state["aggregation"].update(contextual=True))
-        with pytest.raises(PersistenceError, match="retired .*'contextual'"):
-            load_pipeline(path)
+        for key, value in (
+            ("contextual", True), ("mode", "concat"), ("lowercase", False)
+        ):
+            edit(path, lambda state, s={key: value}: state.update(aggregation=s))
+            with pytest.raises(PersistenceError, match=f"retired .*'{key}'"):
+                load_pipeline(path)
 
 
 @pytest.fixture(scope="module")

@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from repro.embeddings.hashed import HashedEmbedding, _seeded_vector
+from repro.embeddings import lookup
 from repro.embeddings.lookup import TermEmbedder, corpus_mean_vector
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
 from repro.text import Token, TokenKind, tokenize_cells
 
 
-def _oov_vector(token: str, dim: int, *, oov: str = "ngram", ngram: int = 3):
+def _oov_vector(token: str, dim: int, *, ngram: int = 3):
     """The per-token OOV back-off, kept as the bitwise oracle of
     :meth:`TermEmbedder._backoff` (which builds each n-gram once per
     miss batch)."""
-    if oov == "zero":
-        return np.zeros(dim)
-    if oov == "hash":
-        return _seeded_vector(f"oov::{token}", dim)
     padded = f"<{token}>"
     grams = [
         padded[i : i + ngram] for i in range(max(1, len(padded) - ngram + 1))
@@ -53,12 +50,6 @@ class _BatchModel(HashedEmbedding):
 
 
 class TestLookup:
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            TermEmbedder(_NoneModel(), oov="bogus")
-        with pytest.raises(ValueError):
-            TermEmbedder(_NoneModel(), ngram=1)
-
     def test_backend_vector_passthrough(self):
         model = HashedEmbedding(8)
         embedder = TermEmbedder(model)
@@ -71,10 +62,9 @@ class TestLookup:
         np.testing.assert_array_equal(
             TermEmbedder(model).resolve(["anything"])[0], model.vector("anything")
         )
-        embedder = TermEmbedder(_NoneModel(), oov="hash")
+        embedder = TermEmbedder(_NoneModel())
         np.testing.assert_array_equal(
-            embedder.resolve(["anything"])[0],
-            _oov_vector("anything", 8, oov="hash"),
+            embedder.resolve(["anything"])[0], _oov_vector("anything", 8)
         )
 
     def test_cache_consistency(self):
@@ -89,17 +79,8 @@ class TestLookup:
 
 
 class TestOov:
-    def test_zero_strategy(self):
-        embedder = TermEmbedder(_NoneModel(), oov="zero")
-        assert np.all(embedder.vector("x") == 0)
-
-    def test_hash_strategy_deterministic(self):
-        embedder = TermEmbedder(_NoneModel(), oov="hash")
-        np.testing.assert_allclose(embedder.vector("x"), embedder.vector("x"))
-        assert not np.allclose(embedder.vector("x"), embedder.vector("y"))
-
     def test_ngram_strategy_similar_strings_close(self):
-        embedder = TermEmbedder(_NoneModel(), oov="ngram")
+        embedder = TermEmbedder(_NoneModel())
 
         def cos(a, b):
             return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
@@ -109,7 +90,7 @@ class TestOov:
         assert near > far
 
     def test_ngram_short_token(self):
-        embedder = TermEmbedder(_NoneModel(), oov="ngram")
+        embedder = TermEmbedder(_NoneModel())
         vec = embedder.vector("a")
         assert vec.shape == (8,)
         assert np.all(np.isfinite(vec))
@@ -161,26 +142,28 @@ class TestBackoffOracle:
 
     @pytest.mark.parametrize("ngram", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(6))
-    def test_ngram_batches_bitwise(self, ngram, seed):
+    def test_ngram_batches_bitwise(self, ngram, seed, monkeypatch):
+        # The plane backs off with 3-grams; the batching must not
+        # depend on the n-gram length.
+        monkeypatch.setattr(lookup, "_NGRAM", ngram)
         rng = np.random.default_rng(seed)
-        embedder = TermEmbedder(_NoneModel(), ngram=ngram)
+        embedder = TermEmbedder(_NoneModel())
         for _ in range(5):
             tokens = _random_batch(rng)
             want = np.stack([_oov_vector(t, 8, ngram=ngram) for t in tokens])
             assert np.array_equal(embedder.resolve(tokens), want)
 
-    @pytest.mark.parametrize("oov", ["ngram", "hash", "zero"])
     @pytest.mark.parametrize("centered", [False, True])
-    def test_mixed_known_and_oov_bitwise(self, oov, centered):
+    def test_mixed_known_and_oov_bitwise(self, centered):
         model = _HalfModel(16)
         center = np.linspace(-0.3, 0.3, 16) if centered else None
-        embedder = TermEmbedder(model, oov=oov, centering=center)
+        embedder = TermEmbedder(model, centering=center)
         rng = np.random.default_rng(7)
         for _ in range(5):
             tokens = _random_batch(rng)
             known = [model.vector(t) for t in tokens]
             want = np.stack([
-                _oov_vector(t, 16, oov=oov) if vec is None else vec
+                _oov_vector(t, 16) if vec is None else vec
                 for t, vec in zip(tokens, known)
             ])
             if center is not None:
@@ -244,14 +227,10 @@ class TestVectorsBatch:
     def test_duplicates_resolved_once(self):
         """The fit-side batch path dedupes its tokens before it resolves
         them: one backend call, each distinct token once."""
-        from repro.core.aggregate import AggregationConfig
         from repro.core.embedding_plane import level_vectors
 
         model = _BatchModel(8)
-        out = level_vectors(
-            TermEmbedder(model), [["qqdup qqdup"], ["qqdup"]] * 5,
-            AggregationConfig(),
-        )
+        out = level_vectors(TermEmbedder(model), [["qqdup qqdup"], ["qqdup"]] * 5)
         assert out.shape == (10, 8)
         assert model.calls == [["qqdup"]]
         np.testing.assert_allclose(out[0], 2 * out[1], atol=1e-5)
@@ -268,8 +247,8 @@ class TestVectorsBatch:
 
     def test_oov_backoff_and_centering_applied(self):
         center = np.full(8, 0.25)
-        plain = TermEmbedder(_NoneModel(), oov="ngram")
-        centered = TermEmbedder(_NoneModel(), oov="ngram", centering=center)
+        plain = TermEmbedder(_NoneModel())
+        centered = TermEmbedder(_NoneModel(), centering=center)
         np.testing.assert_allclose(
             centered.resolve(["word"])[0], plain.resolve(["word"])[0] - center
         )
@@ -287,7 +266,7 @@ class TestCacheConcurrency:
         vector must equal the single-thread reference."""
         import threading as _threading
 
-        from repro.core.aggregate import AggregationConfig, aggregate_level
+        from repro.core.aggregate import aggregate_level
         from repro.core.embedding_plane import level_vectors
 
         embedder = TermEmbedder(HashedEmbedding(16))
@@ -306,9 +285,7 @@ class TestCacheConcurrency:
                     if (i + seed + round_no) % 3 == 0:
                         got, want = embedder.vector(tok), expected[tok]
                     else:
-                        got = level_vectors(
-                            embedder, [[tok]], AggregationConfig()
-                        )[0]
+                        got = level_vectors(embedder, [[tok]])[0]
                         want = expected_cell[tok]
                     if not np.allclose(got, want, atol=1e-5):
                         errors.append(tok)

@@ -77,25 +77,6 @@ class TestClassifyInstrumentation:
             hashed_pipeline.classify(table)  # the row cache is warm now
         assert "lookup" not in {s.name for s in tracer.spans()}
 
-    def test_scalar_path_emits_aggregate_span(self, ckg_train):
-        # concat aggregation cannot be packed: it builds its level
-        # blocks with repro.core.aggregate under one "aggregate" span.
-        from repro.core.aggregate import AggregationConfig
-        from repro.core.pipeline import MetadataPipeline, PipelineConfig
-
-        config = PipelineConfig(
-            embedding="hashed", hashed_dim=16, n_pairs=40,
-            use_contrastive=False,
-            aggregation=AggregationConfig(mode="concat", concat_terms=4),
-        )
-        pipeline = MetadataPipeline(config).fit(ckg_train[:10])
-        with obs.tracing() as tracer:
-            pipeline.classify(ckg_train[0].table)
-        _, parents = _span_tree(tracer.spans())
-        assert parents["aggregate"] == {"classify"}
-        assert parents["fused.walk"] == {"classify"}
-        assert "fused.pack" not in parents
-
 
 class TestFitInstrumentation:
     def test_fit_span_nests_stages(self, ckg_train):

@@ -33,10 +33,15 @@ Packages:
   offline bulk path.
 """
 
-from repro.core.classifier import ClassificationResult, MetadataClassifier
-from repro.core.pipeline import HybridClassifier, MetadataPipeline, PipelineConfig
-from repro.tables.labels import LevelKind, LevelLabel, TableAnnotation
-from repro.tables.model import AnnotatedTable, Table
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.classifier import ClassificationResult, MetadataClassifier
+    from repro.core.pipeline import HybridClassifier, MetadataPipeline, PipelineConfig
+    from repro.tables.labels import LevelKind, LevelLabel, TableAnnotation
+    from repro.tables.model import AnnotatedTable, Table
 
 __version__ = "1.0.0"
 
@@ -53,3 +58,11 @@ __all__ = [
     "TableAnnotation",
     "__version__",
 ]
+
+# Resolved on first access, so ``import repro.<anything>`` stays cheap.
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.classifier": ("ClassificationResult", "MetadataClassifier"),
+    "repro.core.pipeline": ("HybridClassifier", "MetadataPipeline", "PipelineConfig"),
+    "repro.tables.labels": ("LevelKind", "LevelLabel", "TableAnnotation"),
+    "repro.tables.model": ("AnnotatedTable", "Table"),
+})

@@ -42,47 +42,42 @@ grandfather them in the committed baseline file (``lint-baseline.json``)
 so only *new* findings fail CI.  See ``docs/LINTING.md``.
 """
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.callgraph import ProgramModel
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.passes import (
-    ProgramPass,
-    all_passes,
-    get_pass,
-    register_pass,
-)
-from repro.analysis.registry import Rule, all_rules, get_rule, register_rule
-from repro.analysis.runner import (
-    LintReport,
-    analyze_paths,
-    analyze_sources,
-    lint_paths,
-    lint_source,
-)
+from typing import TYPE_CHECKING
 
-# Importing the rule modules registers every built-in rule; importing
-# the pass modules registers every whole-program pass.
-from repro.analysis import rules as _rules  # noqa: F401  (import side effect)
-from repro.analysis import locks as _locks  # noqa: F401  (import side effect)
-from repro.analysis import mmaps as _mmaps  # noqa: F401  (import side effect)
-from repro.analysis import spawn as _spawn  # noqa: F401  (import side effect)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.baseline import Baseline
+    from repro.analysis.findings import Finding
+    from repro.analysis.registry import all_rules, get_rule
+    from repro.analysis.runner import (
+        LintReport,
+        analyze_paths,
+        analyze_sources,
+        lint_paths,
+        lint_source,
+    )
 
 __all__ = [
     "Baseline",
     "Finding",
     "LintReport",
-    "ProgramModel",
-    "ProgramPass",
-    "Rule",
-    "Severity",
-    "all_passes",
     "all_rules",
     "analyze_paths",
     "analyze_sources",
-    "get_pass",
     "get_rule",
     "lint_paths",
     "lint_source",
-    "register_pass",
-    "register_rule",
 ]
+
+# Resolved on first access.  The built-in rules and passes register
+# themselves when the registry is first read (registry.all_rules,
+# passes.all_passes), not when this package is imported.
+__getattr__ = lazy_exports(__name__, {
+    "repro.analysis.baseline": ("Baseline",),
+    "repro.analysis.findings": ("Finding",),
+    "repro.analysis.registry": ("all_rules", "get_rule"),
+    "repro.analysis.runner": (
+        "LintReport", "analyze_paths", "analyze_sources", "lint_paths", "lint_source",
+    ),
+})

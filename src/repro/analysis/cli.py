@@ -1,8 +1,8 @@
 """The ``repro lint`` and ``repro analyze`` subcommands.
 
-Kept in the analysis package so ``repro.cli`` only wires the
-subparsers; everything analysis-specific (flags, exit codes, reporters)
-lives here.
+``repro.cli`` declares the two subparsers, so building the argument
+parser imports no analysis code; the runners, exit codes and reporters
+live here.
 
 ``lint`` runs the per-file rules; ``analyze`` runs the whole-program
 passes (call graph, lock order, spawn safety, mmap writes);
@@ -32,93 +32,6 @@ from repro.analysis.runner import (
     select_passes,
     select_rules,
 )
-
-#: Default baseline location, resolved against the working directory —
-#: the committed repo-root file when running from a checkout.
-DEFAULT_BASELINE = "lint-baseline.json"
-
-
-def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to check (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="report format",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline file of grandfathered findings (default: "
-             f"{DEFAULT_BASELINE}; missing file = empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write all current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--select", metavar="IDS",
-        help="comma-separated rule/pass ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore", metavar="IDS",
-        help="comma-separated rule/pass ids to skip",
-    )
-    parser.add_argument(
-        "--show-baselined", action="store_true",
-        help="also print grandfathered findings (text format)",
-    )
-    parser.add_argument(
-        "--check-stale", action="store_true",
-        help="fail (exit 1) when baseline entries no longer match any "
-             "finding — the fixed debt must leave the baseline too",
-    )
-
-
-def add_lint_parser(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``lint`` subparser to the main CLI."""
-    lint = commands.add_parser(
-        "lint",
-        help="run the project's static-analysis rules",
-        description=(
-            "AST lint tuned to this codebase: concurrency, NumPy "
-            "contracts, determinism, API hygiene. See docs/LINTING.md."
-        ),
-    )
-    _add_shared_arguments(lint)
-    lint.add_argument(
-        "--deep", action="store_true",
-        help="also build the whole-program model and run the analyze "
-             "passes (lock order, spawn safety, mmap writes)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-
-
-def add_analyze_parser(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``analyze`` subparser to the main CLI."""
-    analyze = commands.add_parser(
-        "analyze",
-        help="run the whole-program concurrency/process-safety passes",
-        description=(
-            "Builds an intra-package call graph over the given paths "
-            "and runs the whole-program passes: lock-order deadlock "
-            "detection, spawn-boundary pickle safety, and mmap write "
-            "safety. See docs/LINTING.md."
-        ),
-    )
-    _add_shared_arguments(analyze)
-    analyze.add_argument(
-        "--list-passes", action="store_true",
-        help="print the pass catalogue and exit",
-    )
-
 
 def _list_rules() -> int:
     for rule in all_rules():

@@ -3,9 +3,10 @@
 The per-file :class:`~repro.analysis.registry.Rule` sees one parsed
 file; a :class:`ProgramPass` sees the :class:`~repro.analysis.callgraph.
 ProgramModel` built from *every* analyzed file, so it can follow a lock
-or a pickled value across function and process boundaries.  Passes self-register at import time exactly like rules —
-write a check function, decorate it, import the module from
-``repro.analysis``.
+or a pickled value across function and process boundaries.  Passes
+self-register at import time exactly like rules — write a check
+function, decorate it, and list the module in ``_BUILTIN_MODULES``,
+which is imported the first time the registry is read.
 
 Findings from passes flow through the same suppression, baseline, and
 reporting machinery as rule findings: a pass anchors each finding to a
@@ -15,6 +16,7 @@ site suppresses it.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -56,12 +58,23 @@ def register_pass(
     return decorate
 
 
+#: Modules whose import registers the built-in passes.
+_BUILTIN_MODULES = ("repro.analysis.locks", "repro.analysis.mmaps", "repro.analysis.spawn")
+
+
+def _load_builtins() -> None:
+    for module in _BUILTIN_MODULES:
+        importlib.import_module(module)
+
+
 def all_passes() -> list[ProgramPass]:
     """Every registered pass, sorted by (family, id)."""
+    _load_builtins()
     return sorted(_PASSES.values(), key=lambda p: (p.family, p.id))
 
 
 def get_pass(pass_id: str) -> ProgramPass:
+    _load_builtins()
     try:
         return _PASSES[pass_id]
     except KeyError:

@@ -3,7 +3,8 @@
 A rule is a named check over one parsed file.  Rules self-register at
 import time via :func:`register_rule`, so adding a rule is: write a
 ``check`` function, decorate it, import the module from
-``repro.analysis.rules``.
+``repro.analysis.rules``.  That package is imported the first time the
+registry is read, so ``import repro.analysis`` loads no rule.
 
 Scoping: most rules only make sense in part of the tree (the NumPy
 contracts police hot paths, the determinism rules police the
@@ -16,6 +17,7 @@ every rule — fail-open keeps fixtures honest.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -74,12 +76,18 @@ def register_rule(
     return decorate
 
 
+def _load_builtins() -> None:
+    importlib.import_module("repro.analysis.rules")
+
+
 def all_rules() -> list[Rule]:
     """Every registered rule, sorted by (family, id)."""
+    _load_builtins()
     return sorted(_REGISTRY.values(), key=lambda r: (r.family, r.id))
 
 
 def get_rule(rule_id: str) -> Rule:
+    _load_builtins()
     try:
         return _REGISTRY[rule_id]
     except KeyError:

@@ -13,6 +13,10 @@ Usage (also via ``python -m repro``):
     repro trace table.csv --model model.npz --out trace.json
     repro batch tables/ --model model.npz --trace-out trace.json
     repro lint src --format json
+
+Each subcommand imports what it runs, so ``repro batch`` and ``repro
+serve`` load neither the fit, corpus and experiment code nor the
+analysis and quality harnesses.
 """
 
 from __future__ import annotations
@@ -22,14 +26,10 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.persistence import load_pipeline, save_pipeline
-from repro.core.pipeline import MetadataPipeline
-from repro.corpus.profiles import get_profile, list_profiles
-from repro.corpus.registry import build_split
-from repro.experiments.runner import PAPER, SMOKE, pipeline_config_for
-from repro.tables.model import Table
+if TYPE_CHECKING:
+    from repro.tables.model import Table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,14 +198,182 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--scale", choices=["smoke", "paper"], default="smoke")
     experiment.add_argument("--out", help="also write the rendering to a file")
 
-    from repro.analysis.cli import add_analyze_parser, add_lint_parser
-    from repro.quality.cli import add_ablate_parser, add_fuzz_parser
-
-    add_lint_parser(commands)
-    add_analyze_parser(commands)
-    add_fuzz_parser(commands)
-    add_ablate_parser(commands)
+    _add_lint_parser(commands)
+    _add_analyze_parser(commands)
+    _add_fuzz_parser(commands)
+    _add_ablate_parser(commands)
     return parser
+
+
+# The lint/analyze and fuzz/ablate subparsers are declared here, not in
+# repro.analysis.cli / repro.quality.cli, so that building the parser
+# imports neither package; their runners are imported in _dispatch.
+
+#: Default baseline location, resolved against the working directory —
+#: the committed repo-root file when running from a checkout.
+DEFAULT_BASELINE = "lint-baseline.json"
+
+
+def _add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths", nargs="*", default=["src"],
+        help="files or directories to check (default: src)",
+    )
+    parser.add_argument(
+        "--format", choices=["text", "json"], default="text",
+        help="report format",
+    )
+    parser.add_argument(
+        "--baseline", default=DEFAULT_BASELINE,
+        help=f"baseline file of grandfathered findings (default: "
+             f"{DEFAULT_BASELINE}; missing file = empty baseline)",
+    )
+    parser.add_argument(
+        "--no-baseline", action="store_true",
+        help="ignore the baseline; report every finding",
+    )
+    parser.add_argument(
+        "--write-baseline", action="store_true",
+        help="write all current findings to the baseline file and exit 0",
+    )
+    parser.add_argument(
+        "--select", metavar="IDS",
+        help="comma-separated rule/pass ids to run (default: all)",
+    )
+    parser.add_argument(
+        "--ignore", metavar="IDS",
+        help="comma-separated rule/pass ids to skip",
+    )
+    parser.add_argument(
+        "--show-baselined", action="store_true",
+        help="also print grandfathered findings (text format)",
+    )
+    parser.add_argument(
+        "--check-stale", action="store_true",
+        help="fail (exit 1) when baseline entries no longer match any "
+             "finding — the fixed debt must leave the baseline too",
+    )
+
+
+def _add_lint_parser(commands: argparse._SubParsersAction) -> None:
+    """Attach the ``lint`` subparser to the main CLI."""
+    lint = commands.add_parser(
+        "lint",
+        help="run the project's static-analysis rules",
+        description=(
+            "AST lint tuned to this codebase: concurrency, NumPy "
+            "contracts, determinism, API hygiene. See docs/LINTING.md."
+        ),
+    )
+    _add_lint_arguments(lint)
+    lint.add_argument(
+        "--deep", action="store_true",
+        help="also build the whole-program model and run the analyze "
+             "passes (lock order, spawn safety, mmap writes)",
+    )
+    lint.add_argument(
+        "--list-rules", action="store_true",
+        help="print the rule catalogue and exit",
+    )
+
+
+def _add_analyze_parser(commands: argparse._SubParsersAction) -> None:
+    """Attach the ``analyze`` subparser to the main CLI."""
+    analyze = commands.add_parser(
+        "analyze",
+        help="run the whole-program concurrency/process-safety passes",
+        description=(
+            "Builds an intra-package call graph over the given paths "
+            "and runs the whole-program passes: lock-order deadlock "
+            "detection, spawn-boundary pickle safety, and mmap write "
+            "safety. See docs/LINTING.md."
+        ),
+    )
+    _add_lint_arguments(analyze)
+    analyze.add_argument(
+        "--list-passes", action="store_true",
+        help="print the pass catalogue and exit",
+    )
+
+
+def _add_fuzz_parser(commands: argparse._SubParsersAction) -> None:
+    """Attach the ``fuzz`` subparser to the main CLI."""
+    fuzz = commands.add_parser(
+        "fuzz",
+        help="run the adversarial table fuzzer",
+        description=(
+            "Mutate real corpus tables (seeded, deterministic) and hunt "
+            "parse crashes, fused-vs-reference divergence, and "
+            "round-trip label flips. See docs/QUALITY.md."
+        ),
+    )
+    fuzz.add_argument("--budget", type=int, default=200, help="cases to run")
+    fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
+    fuzz.add_argument("--dataset", default="ckg", help="corpus to mutate")
+    fuzz.add_argument(
+        "--backend", action="append", dest="backends", metavar="NAME",
+        help="embedding backend to classify with (repeatable; "
+        "default: hashed)",
+    )
+    fuzz.add_argument(
+        "--mutators", metavar="NAMES",
+        help="comma-separated mutator subset (default: all)",
+    )
+    fuzz.add_argument(
+        "--bank", nargs="?", const="tests/quality/fixtures", default=None,
+        metavar="DIR",
+        help="bank minimized reproducers as fixtures (default dir: "
+        "tests/quality/fixtures)",
+    )
+    fuzz.add_argument(
+        "--report", metavar="PATH",
+        help="write the campaign report as JSON",
+    )
+    fuzz.add_argument(
+        "--procs", type=int, default=None,
+        help="shard cases across worker processes (large budgets)",
+    )
+    fuzz.add_argument(
+        "--list-mutators", action="store_true",
+        help="print the mutator registry and exit",
+    )
+    fuzz.add_argument(
+        "--trace-out", metavar="PATH",
+        help="write an obs trace of the campaign",
+    )
+
+
+def _add_ablate_parser(commands: argparse._SubParsersAction) -> None:
+    """Attach the ``ablate`` subparser to the main CLI."""
+    ablate = commands.add_parser(
+        "ablate",
+        help="run the component-knockout ablation sweep",
+        description=(
+            "Fit the pipeline with one design choice disabled at a time "
+            "and emit a machine-readable impact report. "
+            "See docs/QUALITY.md."
+        ),
+    )
+    ablate.add_argument(
+        "--config", metavar="PATH",
+        help="JSON ablation config (see docs/QUALITY.md for the schema)",
+    )
+    ablate.add_argument(
+        "--quick", action="store_true",
+        help="the CI preset: one cheap backend, small split",
+    )
+    ablate.add_argument(
+        "--report", metavar="PATH",
+        help="write the impact report as JSON",
+    )
+    ablate.add_argument(
+        "--list-components", action="store_true",
+        help="print the knockout registry and exit",
+    )
+    ablate.add_argument(
+        "--trace-out", metavar="PATH",
+        help="write an obs trace of the sweep",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_datasets() -> int:
+    from repro.corpus.profiles import list_profiles
+
     for profile in list_profiles():
         markup = "html markup" if profile.has_markup else "no markup"
         print(
@@ -223,6 +393,12 @@ def _cmd_datasets() -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from repro.core.persistence import save_pipeline
+    from repro.core.pipeline import MetadataPipeline
+    from repro.corpus.profiles import get_profile
+    from repro.corpus.registry import build_split
+    from repro.experiments.runner import SMOKE, pipeline_config_for
+
     profile = get_profile(args.dataset)
     scale = SMOKE
     config = pipeline_config_for(args.dataset, scale)
@@ -271,6 +447,7 @@ def _print_pretty(pipeline, table: Table, evidence: bool) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from repro.core.persistence import load_pipeline
     from repro.serve.bulk import result_record
 
     pipeline = load_pipeline(args.model)
@@ -382,7 +559,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    from repro.core.persistence import save_pipeline_dir
+    from repro.core.persistence import load_pipeline, save_pipeline, save_pipeline_dir
 
     pipeline = load_pipeline(args.src)
     if args.dest.endswith(".npz"):
@@ -397,6 +574,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
+    from repro.core.persistence import load_pipeline
     from repro.serve.bulk import result_record
 
     pipeline = load_pipeline(args.model)
@@ -430,6 +608,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.core.bootstrap import bootstrap_corpus
     from repro.core.diagnostics import angle_spectrum, render_spectrum
+    from repro.core.persistence import load_pipeline
     from repro.corpus.registry import build_corpus
 
     pipeline = load_pipeline(args.model)
@@ -447,7 +626,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
-        run_figure5, run_figure6, run_figure7, run_runtime,
+        PAPER, SMOKE, run_figure5, run_figure6, run_figure7, run_runtime,
         run_table1, run_table2, run_table3, run_table4, run_table5, run_table6,
     )
 

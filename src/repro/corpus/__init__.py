@@ -9,41 +9,27 @@ continuation cells, numeric data styles, and noisy HTML markup (present
 for only a fraction of tables, absent entirely for SAUS/CIUS).
 """
 
-from repro.corpus.vocabularies import DomainVocabulary, get_domain
-from repro.corpus.generator import GeneratorConfig, GSTGenerator
-from repro.corpus.markup import MarkupNoise, render_noisy_html
-from repro.corpus.profiles import CorpusProfile, get_profile, list_profiles
-from repro.corpus.io import iter_corpus, load_corpus, save_corpus
-from repro.corpus.registry import (
-    build_corpus,
-    build_level_stratified,
-    build_split,
-    dataset_names,
-)
-from repro.corpus.stats import (
-    CorpusStatistics,
-    corpus_statistics,
-    describe_corpus,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.corpus.io import load_corpus, save_corpus
+    from repro.corpus.registry import build_corpus, build_level_stratified, build_split
+    from repro.corpus.stats import describe_corpus
 
 __all__ = [
-    "CorpusProfile",
-    "CorpusStatistics",
-    "DomainVocabulary",
-    "GSTGenerator",
-    "GeneratorConfig",
-    "MarkupNoise",
     "build_corpus",
     "build_level_stratified",
     "build_split",
-    "corpus_statistics",
-    "dataset_names",
     "describe_corpus",
-    "get_domain",
-    "get_profile",
-    "iter_corpus",
-    "list_profiles",
     "load_corpus",
-    "render_noisy_html",
     "save_corpus",
 ]
+
+# Resolved on first access.
+__getattr__ = lazy_exports(__name__, {
+    "repro.corpus.io": ("load_corpus", "save_corpus"),
+    "repro.corpus.registry": ("build_corpus", "build_level_stratified", "build_split"),
+    "repro.corpus.stats": ("describe_corpus",),
+})

@@ -24,6 +24,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
+def sampling_cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalised CDF that ``rng.choice(p=probs)`` builds per call."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_from_cdf(
+    cdf: np.ndarray, shape: tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """``rng.choice(cdf.size, size=shape, p=probs)`` without re-checking ``probs``.
+
+    Same draws, and the same generator state afterwards: this is what
+    ``Generator.choice`` does with ``p`` once its checks pass.
+    """
+    return cdf.searchsorted(rng.random(shape), side="right")
+
+
 @dataclass(frozen=True)
 class Word2VecConfig:
     """Training hyper-parameters; defaults follow the paper where stated."""
@@ -78,7 +96,7 @@ class Word2Vec:
         if not encoded:
             return self
 
-        neg_probs = self.vocab.negative_sampling_probs()
+        neg_cdf = sampling_cdf(self.vocab.negative_sampling_probs())
         keep_probs = self.vocab.subsample_keep_probs(threshold=self.config.subsample)
         total_steps = max(1, self.config.epochs * len(encoded))
         step = 0
@@ -93,7 +111,7 @@ class Word2Vec:
                 sentence = self._subsample(encoded[sentence_index], keep_probs, rng)
                 centers, contexts = self._pairs(sentence, rng)
                 if centers.size:
-                    self._update_batches(centers, contexts, neg_probs, lr, rng)
+                    self._update_batches(centers, contexts, neg_cdf, lr, rng)
                 step += 1
         return self
 
@@ -129,7 +147,7 @@ class Word2Vec:
         self,
         centers: np.ndarray,
         contexts: np.ndarray,
-        neg_probs: np.ndarray,
+        neg_cdf: np.ndarray,
         lr: float,
         rng: np.random.Generator,
     ) -> None:
@@ -139,9 +157,7 @@ class Word2Vec:
         for start in range(0, centers.size, batch):
             c = centers[start : start + batch]
             o = contexts[start : start + batch]
-            negs = rng.choice(
-                neg_probs.size, size=(c.size, self.config.negatives), p=neg_probs
-            )
+            negs = draw_from_cdf(neg_cdf, (c.size, self.config.negatives), rng)
             self._sgns_step(c, o, negs, lr)
 
     def _sgns_step(

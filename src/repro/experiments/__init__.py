@@ -14,44 +14,27 @@ All experiments are deterministic given their scale and seed;
 (dataset, scale) pair once.
 """
 
-from repro.experiments.runner import (
-    ExperimentScale,
-    SMOKE,
-    PAPER,
-    eval_corpus_for,
-    fitted_pipeline,
-)
-from repro.experiments.reporting import ascii_bar_chart, ascii_table
-from repro.experiments.centroid_tables import (
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
-from repro.experiments.accuracy_table import run_table5
-from repro.experiments.llm_table import run_table6
-from repro.experiments.significance_table import run_significance
-from repro.experiments.sweep import (
-    SweepPoint,
-    corpus_size_sweep,
-    dimension_sweep,
-    run_sweep,
-)
-from repro.experiments.figures import run_figure5, run_figure6, run_figure7
-from repro.experiments.runtime import run_runtime
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.accuracy_table import run_table5
+    from repro.experiments.centroid_tables import (
+        run_table1,
+        run_table2,
+        run_table3,
+        run_table4,
+    )
+    from repro.experiments.figures import run_figure5, run_figure6, run_figure7
+    from repro.experiments.llm_table import run_table6
+    from repro.experiments.runner import PAPER, SMOKE
+    from repro.experiments.runtime import run_runtime
+    from repro.experiments.significance_table import run_significance
 
 __all__ = [
-    "ExperimentScale",
     "PAPER",
     "SMOKE",
-    "SweepPoint",
-    "corpus_size_sweep",
-    "dimension_sweep",
-    "run_sweep",
-    "ascii_bar_chart",
-    "ascii_table",
-    "eval_corpus_for",
-    "fitted_pipeline",
     "run_figure5",
     "run_figure6",
     "run_figure7",
@@ -64,3 +47,17 @@ __all__ = [
     "run_table5",
     "run_table6",
 ]
+
+# Resolved on first access: importing one submodule (``repro fit`` reads
+# ``repro.experiments.runner``) loads no other experiment or baseline.
+__getattr__ = lazy_exports(__name__, {
+    "repro.experiments.accuracy_table": ("run_table5",),
+    "repro.experiments.centroid_tables": (
+        "run_table1", "run_table2", "run_table3", "run_table4",
+    ),
+    "repro.experiments.figures": ("run_figure5", "run_figure6", "run_figure7"),
+    "repro.experiments.llm_table": ("run_table6",),
+    "repro.experiments.runner": ("PAPER", "SMOKE"),
+    "repro.experiments.runtime": ("run_runtime",),
+    "repro.experiments.significance_table": ("run_significance",),
+})

@@ -17,15 +17,17 @@ This package moves that compute across *processes*:
 See ``docs/SCALING.md`` for when to reach for processes vs threads.
 """
 
-from repro.parallel.pool import ShardedPool, WorkerPoolError, cpu_worker_default
-from repro.parallel.sharding import split_shards
-from repro.parallel.traces import merge_traces, read_worker_traces
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ShardedPool",
-    "WorkerPoolError",
-    "cpu_worker_default",
-    "merge_traces",
-    "read_worker_traces",
-    "split_shards",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parallel.pool import ShardedPool, WorkerPoolError, cpu_worker_default
+
+__all__ = ["ShardedPool", "WorkerPoolError", "cpu_worker_default"]
+
+# Resolved on first access: a worker importing ``repro.parallel._worker``
+# does not load the pool machinery.
+__getattr__ = lazy_exports(__name__, {
+    "repro.parallel.pool": ("ShardedPool", "WorkerPoolError", "cpu_worker_default"),
+})

@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro import obs
-from repro.core.pipeline import MetadataPipeline
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import MetadataPipeline
 
 # Per-process pool-worker state, assigned once by init_classify_worker.
 _MODELS: dict[str, MetadataPipeline] = {}

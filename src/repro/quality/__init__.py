@@ -21,57 +21,7 @@ Both feed the CI quality trajectory: their report files are merged
 into ``BENCH_trajectory.json`` by ``benchmarks/record_trajectory.py``
 next to the perf numbers, and ``--check`` gates on them.  See
 ``docs/QUALITY.md``.
+
+The package imports none of its modules itself: a classify process
+never loads the fuzzer, the mutators or the ablation runner.
 """
-
-from repro.quality.ablate import (
-    AblationConfig,
-    AblationReport,
-    component_names,
-    load_ablation_config,
-    quick_config,
-    run_ablation,
-)
-from repro.quality.bank import bank_case, fixture_path, load_fixtures, replay_fixture
-from repro.quality.fuzzer import (
-    FuzzCase,
-    FuzzConfig,
-    FuzzHarness,
-    FuzzReport,
-    run_fuzz,
-)
-from repro.quality.minimize import ddmin, minimize_table, minimize_text
-from repro.quality.mutators import (
-    Mutant,
-    MutatorSpec,
-    apply_mutator,
-    get_mutators,
-    mutator_names,
-    register_mutator,
-)
-
-__all__ = [
-    "AblationConfig",
-    "AblationReport",
-    "FuzzCase",
-    "FuzzConfig",
-    "FuzzHarness",
-    "FuzzReport",
-    "Mutant",
-    "MutatorSpec",
-    "apply_mutator",
-    "bank_case",
-    "component_names",
-    "ddmin",
-    "fixture_path",
-    "get_mutators",
-    "load_ablation_config",
-    "load_fixtures",
-    "minimize_table",
-    "minimize_text",
-    "mutator_names",
-    "quick_config",
-    "register_mutator",
-    "replay_fixture",
-    "run_ablation",
-    "run_fuzz",
-]

@@ -1,8 +1,8 @@
 """CLI verbs for the quality harness: ``repro fuzz`` and ``repro ablate``.
 
-Kept out of :mod:`repro.cli` so the main entry point only pays for this
-package when one of the quality verbs actually runs (matching the
-``repro.analysis.cli`` layout).
+:mod:`repro.cli` declares the two subparsers and imports this module only
+when one of the quality verbs runs, so the main entry point loads no
+quality code otherwise (matching the ``repro.analysis.cli`` layout).
 
 Exit codes: ``0`` clean, ``1`` the harness found failures (fuzz) or
 could not produce a report (ablate), ``2`` usage errors.  The CI
@@ -16,86 +16,6 @@ import json
 import sys
 
 from repro import obs
-
-
-def add_fuzz_parser(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``fuzz`` subparser to the main CLI."""
-    fuzz = commands.add_parser(
-        "fuzz",
-        help="run the adversarial table fuzzer",
-        description=(
-            "Mutate real corpus tables (seeded, deterministic) and hunt "
-            "parse crashes, fused-vs-reference divergence, and "
-            "round-trip label flips. See docs/QUALITY.md."
-        ),
-    )
-    fuzz.add_argument("--budget", type=int, default=200, help="cases to run")
-    fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
-    fuzz.add_argument("--dataset", default="ckg", help="corpus to mutate")
-    fuzz.add_argument(
-        "--backend", action="append", dest="backends", metavar="NAME",
-        help="embedding backend to classify with (repeatable; "
-        "default: hashed)",
-    )
-    fuzz.add_argument(
-        "--mutators", metavar="NAMES",
-        help="comma-separated mutator subset (default: all)",
-    )
-    fuzz.add_argument(
-        "--bank", nargs="?", const="tests/quality/fixtures", default=None,
-        metavar="DIR",
-        help="bank minimized reproducers as fixtures (default dir: "
-        "tests/quality/fixtures)",
-    )
-    fuzz.add_argument(
-        "--report", metavar="PATH",
-        help="write the campaign report as JSON",
-    )
-    fuzz.add_argument(
-        "--procs", type=int, default=None,
-        help="shard cases across worker processes (large budgets)",
-    )
-    fuzz.add_argument(
-        "--list-mutators", action="store_true",
-        help="print the mutator registry and exit",
-    )
-    fuzz.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write an obs trace of the campaign",
-    )
-
-
-def add_ablate_parser(commands: argparse._SubParsersAction) -> None:
-    """Attach the ``ablate`` subparser to the main CLI."""
-    ablate = commands.add_parser(
-        "ablate",
-        help="run the component-knockout ablation sweep",
-        description=(
-            "Fit the pipeline with one design choice disabled at a time "
-            "and emit a machine-readable impact report. "
-            "See docs/QUALITY.md."
-        ),
-    )
-    ablate.add_argument(
-        "--config", metavar="PATH",
-        help="JSON ablation config (see docs/QUALITY.md for the schema)",
-    )
-    ablate.add_argument(
-        "--quick", action="store_true",
-        help="the CI preset: one cheap backend, small split",
-    )
-    ablate.add_argument(
-        "--report", metavar="PATH",
-        help="write the impact report as JSON",
-    )
-    ablate.add_argument(
-        "--list-components", action="store_true",
-        help="print the knockout registry and exit",
-    )
-    ablate.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write an obs trace of the sweep",
-    )
 
 
 def _list_mutators() -> int:

@@ -20,19 +20,7 @@ pipelines warm and amortizes work across requests:
 * :mod:`repro.serve.bulk` — the offline bulk path (``repro batch``,
   on the streaming plane of :mod:`repro.connectors`) and the record
   and result-cache helpers every classify path shares.
+
+The package imports none of these modules itself: ``repro batch``
+reaches :mod:`~repro.serve.bulk` without loading the HTTP front-end.
 """
-
-from repro.serve.bulk import table_from_path
-from repro.serve.cache import LRUCache
-from repro.serve.httpd import ClassificationService, make_server
-from repro.serve.metrics import ServiceMetrics
-from repro.serve.registry import ModelRegistry
-
-__all__ = [
-    "ClassificationService",
-    "LRUCache",
-    "ModelRegistry",
-    "ServiceMetrics",
-    "make_server",
-    "table_from_path",
-]

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
+from repro.embeddings.word2vec import (
+    Word2Vec,
+    Word2VecConfig,
+    draw_from_cdf,
+    sampling_cdf,
+)
 
 
 def two_cluster_corpus(n: int = 120) -> list[list[str]]:
@@ -70,6 +75,40 @@ class TestTraining:
         a = Word2Vec(Word2VecConfig(dim=8, epochs=1, seed=3)).fit(corpus)
         b = Word2Vec(Word2VecConfig(dim=8, epochs=1, seed=3)).fit(corpus)
         np.testing.assert_allclose(a.vector("age"), b.vector("age"))
+
+
+class TestNegativeDraws:
+    """``draw_from_cdf`` against its oracle, ``Generator.choice(p=...)``."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_choice_and_generator_state(self, case):
+        meta = np.random.default_rng(1000 + case)
+        n = int(meta.integers(1, 400))
+        probs = meta.random(n) ** 3
+        probs[meta.random(n) < 0.2] = 0.0  # zero-weight ids, like [PAD]
+        if probs.sum() == 0:
+            probs[0] = 1.0
+        probs /= probs.sum()
+        shape = (int(meta.integers(1, 50)), int(meta.integers(1, 9)))
+        seed = int(meta.integers(0, 2**32))
+        oracle_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        expected = oracle_rng.choice(n, size=shape, p=probs)
+        drawn = draw_from_cdf(sampling_cdf(probs), shape, rng)
+        assert drawn.dtype == expected.dtype
+        np.testing.assert_array_equal(drawn, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_cdf_reused_across_draws(self):
+        probs = np.array([0.1, 0.0, 0.6, 0.3])
+        cdf = sampling_cdf(probs)
+        oracle_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        for shape in [(4, 5), (1, 1), (7, 2)]:
+            np.testing.assert_array_equal(
+                draw_from_cdf(cdf, shape, rng),
+                oracle_rng.choice(4, size=shape, p=probs),
+            )
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestGeometry:

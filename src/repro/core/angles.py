@@ -38,6 +38,26 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.degrees(np.arccos(cosine_similarity(a, b))))
 
 
+def pairwise_angles(
+    vectors: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]]
+) -> list[float]:
+    """``angle_between(vectors[i], vectors[j])`` for each ``(i, j)``, bit for bit.
+
+    Each vector's norm is computed once; clip, arccos and degrees run
+    once over the batch.  The dot products stay one per pair: a matrix
+    product rounds them differently.
+    """
+    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+    norms = [np.linalg.norm(v) for v in vectors]
+    cos = np.zeros(len(pairs))
+    for k, (i, j) in enumerate(pairs):
+        norm = norms[i] * norms[j]
+        if norm < _EPS:
+            continue  # zero vector: cosine 0, as in cosine_similarity
+        cos[k] = vectors[i] @ vectors[j] / norm
+    return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).tolist()
+
+
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Magnitude-sensitive alternative the paper rejects (Sec. III-C)."""
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))

@@ -14,12 +14,13 @@ the per-level-depth deltas that Tables I-IV of the paper report
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.angles import AngleRange, angle_between
+from repro.core.angles import AngleRange, angle_between, pairwise_angles
 from repro.core.bootstrap import BootstrapLabels
 
 _EPS = 1e-12
@@ -225,37 +226,31 @@ def collect_centroid_samples(
         meta_vectors.extend(meta_vecs)
         data_vectors.extend(data_vecs)
 
-        # C_MDE: all metadata pairs within the table (Def. 11).
-        for a in range(len(meta_vecs)):
-            for b in range(a + 1, len(meta_vecs)):
-                mde_samples.append(angle_between(meta_vecs[a], meta_vecs[b]))
-        # C_DE: all data pairs (Def. 12).
-        for a in range(len(data_vecs)):
-            for b in range(a + 1, len(data_vecs)):
-                de_samples.append(angle_between(data_vecs[a], data_vecs[b]))
-        # C_MDE-DE: metadata x data (Def. 13).
-        for mv in meta_vecs:
-            for dv in data_vecs:
-                mde_de_samples.append(angle_between(mv, dv))
-
+        # One batch holds every angle of the table: the C_MDE, C_DE and
+        # C_MDE-DE pairs (Defs. 11-13), then the per-level deltas.
+        meta = range(len(meta_vecs))
+        data = range(len(meta_vecs), len(meta_vecs) + len(data_vecs))
+        mde = list(itertools.combinations(meta, 2))
+        de = list(itertools.combinations(data, 2))
+        mde_de = list(itertools.product(meta, data))
         # Per-level deltas (Tables I-IV rows).  Bootstrap metadata levels
         # are ordered by position, so depth = ordinal position + 1.
         # The data representative is the *middle* data level: with noisy
         # or first-level-only bootstrap the top "data" rows are often
         # unrecognized deeper headers, which would deflate the reported
         # metadata-data separation.
-        first_data = data_vecs[len(data_vecs) // 2] if data_vecs else None
-        for depth0, mv in enumerate(meta_vecs):
-            depth = depth0 + 1
-            samples.level_tables[depth] = samples.level_tables.get(depth, 0) + 1
-            if depth0 > 0:
-                prev_deltas.setdefault(depth, []).append(
-                    angle_between(meta_vecs[depth0 - 1], mv)
-                )
-            if first_data is not None:
-                data_deltas.setdefault(depth, []).append(
-                    angle_between(mv, first_data)
-                )
+        prev = [(i - 1, i) for i in meta[1:]]
+        to_data = list(itertools.product(meta, [data[len(data) // 2]] if data else []))
+        angles = iter(pairwise_angles(meta_vecs + data_vecs, mde + de + mde_de + prev + to_data))
+        mde_samples.extend(itertools.islice(angles, len(mde)))
+        de_samples.extend(itertools.islice(angles, len(de)))
+        mde_de_samples.extend(itertools.islice(angles, len(mde_de)))
+        for (_, i), angle in zip(prev, angles):
+            prev_deltas.setdefault(i + 1, []).append(angle)
+        for (i, _), angle in zip(to_data, angles):
+            data_deltas.setdefault(i + 1, []).append(angle)
+        for i in meta:
+            samples.level_tables[i + 1] = samples.level_tables.get(i + 1, 0) + 1
 
     return samples
 

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.embeddings.vocab import MASK, Vocabulary
+from repro.embeddings.word2vec import add_rows_at
 from repro.invariants import not_none
 
 
@@ -168,7 +169,7 @@ class ContextualEncoder:
             grad_x[position] += grad_h  # residual path
 
         wo -= lr * grad_wo
-        np.add.at(emb, input_ids, -lr * grad_x)
+        add_rows_at(emb, input_ids, -lr * grad_x)
         pos[:n] -= lr * grad_x
 
     # ------------------------------------------------------------------

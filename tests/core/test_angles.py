@@ -16,6 +16,7 @@ from repro.core.angles import (
     cosine_similarity,
     euclidean_distance,
     jaccard_similarity,
+    pairwise_angles,
     walk_angles,
 )
 
@@ -239,3 +240,21 @@ class TestBatchedAngles:
         assert meta[0] == pytest.approx(90.0)
         assert data[0] == pytest.approx(0.0)
         assert deltas.shape == (0,)
+
+
+class TestPairwiseAngles:
+    """``pairwise_angles`` is ``angle_between`` per pair, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal_to_angle_between(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 60))
+        vecs = list(rng.normal(size=(int(rng.integers(2, 12)), d)) * 10.0 ** rng.integers(-7, 7))
+        vecs += [np.zeros(d), np.full(d, 1e-8), vecs[0], -vecs[1], vecs[0].astype(np.float32)]
+        pairs = [(i, j) for i in range(len(vecs)) for j in range(len(vecs))]
+        angles = pairwise_angles(vecs, pairs)
+        assert angles == [angle_between(vecs[i], vecs[j]) for i, j in pairs]
+        assert all(type(a) is float for a in angles)
+
+    def test_empty(self):
+        assert pairwise_angles([np.ones(3)], []) == []
